@@ -35,4 +35,9 @@ struct AppSpec {
 /// Throws CheckFailure for unknown names.
 void populate_app(RuntimeJob& job, const AppSpec& spec);
 
+/// Number of chares populate_app() would add for `spec` — the most PEs
+/// the application can run on, since the runtime maps at least one chare
+/// to every PE. Throws CheckFailure for unknown names.
+int app_chare_count(const AppSpec& spec);
+
 }  // namespace cloudlb

@@ -8,82 +8,37 @@ namespace cloudlb {
 
 Jacobi2dChare::Jacobi2dChare(const Jacobi2dConfig& config, int bx, int by)
     : StencilBlockChare(config.layout, bx, by) {
-  u_.resize(static_cast<std::size_t>(nx()) * static_cast<std::size_t>(ny()));
-  scratch_ = u_;
+  u_.reserve(static_cast<std::size_t>(nx()) * static_cast<std::size_t>(ny()));
   for (int gy = y0(); gy < y0() + ny(); ++gy)
     for (int gx = x0(); gx < x0() + nx(); ++gx)
-      at(gx, gy) = stencil_initial_value(gx, gy, layout().grid_x,
-                                         layout().grid_y);
-}
-
-double& Jacobi2dChare::at(int gx, int gy) {
-  return u_[static_cast<std::size_t>(gy - y0()) *
-                static_cast<std::size_t>(nx()) +
-            static_cast<std::size_t>(gx - x0())];
-}
-
-double Jacobi2dChare::at(int gx, int gy) const {
-  return u_[static_cast<std::size_t>(gy - y0()) *
-                static_cast<std::size_t>(nx()) +
-            static_cast<std::size_t>(gx - x0())];
+      u_.push_back(stencil_initial_value(gx, gy, layout().grid_x,
+                                         layout().grid_y));
+  scratch_ = u_;
 }
 
 std::vector<double> Jacobi2dChare::block_values() const { return u_; }
 
-std::vector<double> Jacobi2dChare::edge_values(Side side) const {
-  std::vector<double> out;
-  switch (side) {
-    case kWest:
-      out.reserve(static_cast<std::size_t>(ny()));
-      for (int gy = y0(); gy < y0() + ny(); ++gy) out.push_back(at(x0(), gy));
-      break;
-    case kEast:
-      out.reserve(static_cast<std::size_t>(ny()));
-      for (int gy = y0(); gy < y0() + ny(); ++gy)
-        out.push_back(at(x0() + nx() - 1, gy));
-      break;
-    case kNorth:
-      out.reserve(static_cast<std::size_t>(nx()));
-      for (int gx = x0(); gx < x0() + nx(); ++gx) out.push_back(at(gx, y0()));
-      break;
-    case kSouth:
-      out.reserve(static_cast<std::size_t>(nx()));
-      for (int gx = x0(); gx < x0() + nx(); ++gx)
-        out.push_back(at(gx, y0() + ny() - 1));
-      break;
-  }
-  return out;
+void Jacobi2dChare::append_edge(Side side,
+                                std::vector<double>& payload) const {
+  append_grid_edge(u_, side, payload);
 }
 
 void Jacobi2dChare::apply_update(
     const std::array<std::vector<double>, 4>& ghosts) {
-  const int gx_max = layout().grid_x - 1;
-  const int gy_max = layout().grid_y - 1;
-  auto value = [&](int gx, int gy) -> double {
-    if (gx < x0()) return ghosts[kWest][static_cast<std::size_t>(gy - y0())];
-    if (gx >= x0() + nx())
-      return ghosts[kEast][static_cast<std::size_t>(gy - y0())];
-    if (gy < y0()) return ghosts[kNorth][static_cast<std::size_t>(gx - x0())];
-    if (gy >= y0() + ny())
-      return ghosts[kSouth][static_cast<std::size_t>(gx - x0())];
-    return at(gx, gy);
-  };
-
+  // W + E + N + S in this order, and the residual summed in row-major
+  // order (sweep_rows' visiting order): bitwise equal to
+  // jacobi2d_reference.
+  const double* u = u_.data();
+  double* next = scratch_.data();
   double residual = 0.0;
-  for (int gy = y0(); gy < y0() + ny(); ++gy) {
-    for (int gx = x0(); gx < x0() + nx(); ++gx) {
-      const std::size_t idx =
-          static_cast<std::size_t>(gy - y0()) * static_cast<std::size_t>(nx()) +
-          static_cast<std::size_t>(gx - x0());
-      if (gx == 0 || gx == gx_max || gy == 0 || gy == gy_max) {
-        scratch_[idx] = at(gx, gy);  // Dirichlet boundary: held fixed
-      } else {
-        scratch_[idx] = 0.25 * (value(gx - 1, gy) + value(gx + 1, gy) +
-                                value(gx, gy - 1) + value(gx, gy + 1));
-        residual += std::abs(scratch_[idx] - u_[idx]);
-      }
-    }
-  }
+  sweep_rows(
+      u_, ghosts,
+      [u, next](std::size_t i) { next[i] = u[i]; },  // Dirichlet: held fixed
+      [u, next, &residual](std::size_t i, double west, double east,
+                           double north, double south) {
+        next[i] = 0.25 * (west + east + north + south);
+        residual += std::abs(next[i] - u[i]);
+      });
   residual_ = residual;
   u_.swap(scratch_);
 }

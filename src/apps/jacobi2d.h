@@ -28,13 +28,10 @@ class Jacobi2dChare final : public StencilBlockChare {
   double local_residual() const override { return residual_; }
 
  protected:
-  std::vector<double> edge_values(Side side) const override;
+  void append_edge(Side side, std::vector<double>& payload) const override;
   void apply_update(const std::array<std::vector<double>, 4>& ghosts) override;
 
  private:
-  double& at(int gx, int gy);
-  double at(int gx, int gy) const;
-
   double residual_ = 0.0;
   std::vector<double> u_, scratch_;
 };

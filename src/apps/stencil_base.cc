@@ -61,6 +61,31 @@ std::size_t StencilBlockChare::footprint_bytes() const {
   return state_bytes() + 512;  // numerical state + object overhead
 }
 
+void StencilBlockChare::append_grid_edge(const std::vector<double>& grid,
+                                         Side side,
+                                         std::vector<double>& payload) const {
+  const auto w = static_cast<std::size_t>(nx());
+  const auto h = static_cast<std::size_t>(ny());
+  switch (side) {
+    case kWest:
+      for (std::size_t r = 0; r < h; ++r) payload.push_back(grid[r * w]);
+      break;
+    case kEast:
+      for (std::size_t r = 0; r < h; ++r)
+        payload.push_back(grid[r * w + w - 1]);
+      break;
+    case kNorth:
+      payload.insert(payload.end(), grid.begin(),
+                     grid.begin() + static_cast<std::ptrdiff_t>(w));
+      break;
+    case kSouth:
+      payload.insert(payload.end(),
+                     grid.begin() + static_cast<std::ptrdiff_t>((h - 1) * w),
+                     grid.begin() + static_cast<std::ptrdiff_t>(h * w));
+      break;
+  }
+}
+
 void StencilBlockChare::on_start() { send_ghosts(); }
 
 void StencilBlockChare::on_resume_sync() { send_ghosts(); }
@@ -70,12 +95,12 @@ void StencilBlockChare::send_ghosts() {
   for (int side = 0; side < 4; ++side) {
     const ChareId dest = neighbor_[static_cast<std::size_t>(side)];
     if (dest == -1) continue;
+    const int edge = side == kWest || side == kEast ? ny() : nx();
     std::vector<double> payload;
-    const std::vector<double> edge = edge_values(static_cast<Side>(side));
-    payload.reserve(edge.size() + 2);
+    payload.reserve(static_cast<std::size_t>(edge) + 2);
     payload.push_back(static_cast<double>(iter_));
     payload.push_back(static_cast<double>(kOpposite[side]));
-    payload.insert(payload.end(), edge.begin(), edge.end());
+    append_edge(static_cast<Side>(side), payload);
     send(dest, kTagGhost, std::move(payload));
   }
   maybe_trigger_compute();  // blocks with zero neighbours (1-block layouts)
@@ -106,10 +131,11 @@ void StencilBlockChare::execute(const Message& msg) {
     // A neighbour can be at most one iteration ahead of us.
     CLB_CHECK_MSG(iter == iter_ || iter == iter_ + 1,
                   "ghost for iteration " << iter << " while at " << iter_);
-    auto& slot = ghosts_[iter][side];
+    const auto ring = static_cast<std::size_t>(iter & 1);
+    auto& slot = ghosts_[ring][side];
     CLB_CHECK_MSG(slot.empty(), "duplicate ghost for side " << side);
     slot.assign(msg.data.begin() + 2, msg.data.end());
-    ++ghost_count_[iter];
+    ++ghost_count_[ring];
     maybe_trigger_compute();
     return;
   }
@@ -117,9 +143,10 @@ void StencilBlockChare::execute(const Message& msg) {
   CLB_CHECK(msg.tag == kTagCompute);
   CLB_CHECK(static_cast<int>(msg.data[0]) == iter_);
   compute_pending_ = false;
-  apply_update(ghosts_[iter_]);
-  ghosts_.erase(iter_);
-  ghost_count_.erase(iter_);
+  const auto ring = static_cast<std::size_t>(iter_ & 1);
+  apply_update(ghosts_[ring]);
+  for (auto& ghost : ghosts_[ring]) ghost.clear();
+  ghost_count_[ring] = 0;
 
   report_iteration(iter_);
   ++iter_;
@@ -157,9 +184,7 @@ void StencilBlockChare::proceed_to_next_iteration() {
 
 void StencilBlockChare::maybe_trigger_compute() {
   if (compute_pending_) return;
-  auto it = ghost_count_.find(iter_);
-  const int have = it == ghost_count_.end() ? 0 : it->second;
-  if (have == expected_ghosts_) {
+  if (ghost_count_[static_cast<std::size_t>(iter_ & 1)] == expected_ghosts_) {
     compute_pending_ = true;
     send(id(), kTagCompute, {static_cast<double>(iter_)});
   }

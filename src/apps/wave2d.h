@@ -27,14 +27,11 @@ class Wave2dChare final : public StencilBlockChare {
   std::vector<double> block_values() const;
 
  protected:
-  std::vector<double> edge_values(Side side) const override;
+  void append_edge(Side side, std::vector<double>& payload) const override;
   void apply_update(const std::array<std::vector<double>, 4>& ghosts) override;
   std::size_t state_bytes() const override;
 
  private:
-  double cur(int gx, int gy) const;
-  std::size_t index(int gx, int gy) const;
-
   double c2_;  ///< Courant number squared
   std::vector<double> u_prev_, u_cur_, scratch_;
 };

@@ -101,6 +101,21 @@ commands:
   help       this text
 )usage";
 
+/// Rejects a core count the scenario cannot run, with an error that names
+/// the flag: the runtime maps at least one chare to every core, and the
+/// background job runs on cores inside the application's allocation.
+void check_cores(const ScenarioConfig& config, int cores) {
+  CLB_CHECK_MSG(cores >= 1, "--cores must be at least 1; got " << cores);
+  const int chares = app_chare_count(config.app);
+  CLB_CHECK_MSG(cores <= chares,
+                "--cores=" << cores << " exceeds the " << chares
+                           << " chares of " << config.app.name
+                           << "; every core needs at least one chare");
+  CLB_CHECK_MSG(!config.with_background || cores >= config.bg_cores,
+                "--cores=" << cores << " is below the " << config.bg_cores
+                           << " cores the background job runs on");
+}
+
 ScenarioConfig config_from(Options& options,
                            bool scalar_cores_and_balancer = true) {
   ScenarioConfig config;
@@ -159,6 +174,7 @@ ScenarioConfig config_from(Options& options,
   CLB_CHECK_MSG(robustness.forecast_margin >= 0.0,
                 "--forecast-margin must be non-negative; got "
                     << robustness.forecast_margin);
+  if (scalar_cores_and_balancer) check_cores(config, config.app_cores);
   return config;
 }
 
@@ -204,6 +220,7 @@ int cmd_sweep(Options& options, std::ostream& out) {
   ScenarioConfig base = config_from(options, /*scalar_cores_and_balancer=*/false);
   const std::vector<int> cores =
       options.get_int_list("cores", {4, 8, 16, 32});
+  for (const int c : cores) check_cores(base, c);
   std::vector<std::string> balancers;
   {
     const std::string list =

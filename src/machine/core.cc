@@ -21,7 +21,9 @@ Core::Core(EngineCore& sim, CoreId id, double speed)
 ContextId Core::register_context(std::string name, double weight) {
   CLB_CHECK(weight > 0.0);
   const auto ctx = static_cast<ContextId>(contexts_.size());
-  contexts_.push_back(ContextInfo{std::move(name), weight, 0.0});
+  ContextInfo& info = contexts_.emplace_back();
+  info.name = std::move(name);
+  info.weight = weight;
   return ctx;
 }
 
@@ -39,22 +41,29 @@ const std::string& Core::context_name(ContextId ctx) const {
 }
 
 void Core::demand(ContextId ctx, SimTime cpu_time,
-                  std::function<void()> on_complete) {
+                  EngineCore::Callback on_complete) {
   CLB_CHECK(ctx >= 0 && static_cast<std::size_t>(ctx) < contexts_.size());
   CLB_CHECK(!cpu_time.is_negative());
   CLB_CHECK(on_complete != nullptr);
-  CLB_CHECK_MSG(!active_.contains(ctx),
-                "context " << context_name(ctx) << " already has a demand");
+  auto& info = contexts_[static_cast<std::size_t>(ctx)];
+  CLB_CHECK_MSG(!info.active,
+                "context " << info.name << " already has a demand");
   advance_to_now();
-  active_.emplace(ctx, Request{cpu_time.to_seconds(), std::move(on_complete)});
+  info.active = true;
+  info.remaining_cpu_sec = cpu_time.to_seconds();
+  info.on_complete = std::move(on_complete);
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), ctx), ctx);
   complete_and_reschedule();
 }
 
-bool Core::has_demand(ContextId ctx) const { return active_.contains(ctx); }
+bool Core::has_demand(ContextId ctx) const {
+  CLB_CHECK(ctx >= 0 && static_cast<std::size_t>(ctx) < contexts_.size());
+  return contexts_[static_cast<std::size_t>(ctx)].active;
+}
 
 double Core::total_active_weight() const {
   double w = 0.0;
-  for (const auto& [ctx, req] : active_)
+  for (const ContextId ctx : active_)
     w += contexts_[static_cast<std::size_t>(ctx)].weight;
   return w;
 }
@@ -68,11 +77,11 @@ void Core::advance_to_now() {
   const double dt = elapsed.to_seconds();
   busy_sec_ += dt;
   const double total_w = total_active_weight();
-  for (auto& [ctx, req] : active_) {
+  for (const ContextId ctx : active_) {
     auto& info = contexts_[static_cast<std::size_t>(ctx)];
     const double rate = speed_ * info.weight / total_w;
-    const double used = std::min(req.remaining_cpu_sec, dt * rate);
-    req.remaining_cpu_sec -= used;
+    const double used = std::min(info.remaining_cpu_sec, dt * rate);
+    info.remaining_cpu_sec -= used;
     info.consumed_cpu_sec += used;
   }
 }
@@ -80,15 +89,19 @@ void Core::advance_to_now() {
 void Core::complete_and_reschedule() {
   // Collect finished requests first so their callbacks (which may issue new
   // demands on this core) run against a consistent active set.
-  std::vector<std::function<void()>> finished;
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remaining_cpu_sec <= kCpuEpsilonSec) {
-      finished.push_back(std::move(it->second.on_complete));
-      it = active_.erase(it);
+  // Compacts active_ in place, so both sets stay in ascending order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const ContextId ctx = active_[i];
+    auto& info = contexts_[static_cast<std::size_t>(ctx)];
+    if (info.remaining_cpu_sec <= kCpuEpsilonSec) {
+      info.active = false;
+      finished_.push_back(std::move(info.on_complete));
     } else {
-      ++it;
+      active_[kept++] = ctx;
     }
   }
+  active_.resize(kept);
 
   if (completion_event_.valid()) {
     // The completion callback clears the handle before re-entering this
@@ -101,10 +114,10 @@ void Core::complete_and_reschedule() {
   if (!active_.empty()) {
     const double total_w = total_active_weight();
     double earliest = std::numeric_limits<double>::infinity();
-    for (const auto& [ctx, req] : active_) {
-      const double rate =
-          speed_ * contexts_[static_cast<std::size_t>(ctx)].weight / total_w;
-      earliest = std::min(earliest, req.remaining_cpu_sec / rate);
+    for (const ContextId ctx : active_) {
+      const auto& info = contexts_[static_cast<std::size_t>(ctx)];
+      const double rate = speed_ * info.weight / total_w;
+      earliest = std::min(earliest, info.remaining_cpu_sec / rate);
     }
     // Round up so that at the event instant every candidate has actually
     // crossed the epsilon threshold.
@@ -119,9 +132,11 @@ void Core::complete_and_reschedule() {
   // Deliver completions through zero-delay events: a callback typically
   // issues the context's next demand, and synchronous delivery would recurse
   // unboundedly through demand() -> complete_and_reschedule() for chains of
-  // tiny tasks.
-  for (auto& cb : finished)
+  // tiny tasks. Scheduling never re-enters this core, so the scratch is
+  // free again once the loop ends.
+  for (auto& cb : finished_)
     sim_.schedule_after(SimTime::zero(), std::move(cb));
+  finished_.clear();
 }
 
 ProcStat Core::proc_stat() const { return proc_stat_at(sim_.now()); }
@@ -152,17 +167,12 @@ SimTime Core::context_cpu_time_at(ContextId ctx, SimTime t) const {
   CLB_CHECK_MSG(t >= sim_.now(),
                 "context_cpu_time_at behind the engine clock: t="
                     << t.to_string() << " now=" << sim_.now().to_string());
-  double consumed = contexts_[static_cast<std::size_t>(ctx)].consumed_cpu_sec;
   const SimTime elapsed = t - last_update_;
-  if (!elapsed.is_zero()) {
-    auto it = active_.find(ctx);
-    if (it != active_.end()) {
-      const double rate =
-          speed_ * contexts_[static_cast<std::size_t>(ctx)].weight /
-          total_active_weight();
-      consumed +=
-          std::min(it->second.remaining_cpu_sec, elapsed.to_seconds() * rate);
-    }
+  const auto& info = contexts_[static_cast<std::size_t>(ctx)];
+  double consumed = info.consumed_cpu_sec;
+  if (!elapsed.is_zero() && info.active) {
+    const double rate = speed_ * info.weight / total_active_weight();
+    consumed += std::min(info.remaining_cpu_sec, elapsed.to_seconds() * rate);
   }
   return SimTime::from_seconds(consumed);
 }

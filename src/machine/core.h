@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -63,7 +61,12 @@ class Core {
   /// `on_complete`. At most one outstanding demand per context: a PE
   /// serializes its task executions. Zero demands complete via an
   /// immediately-scheduled event (still ordered deterministically).
-  void demand(ContextId ctx, SimTime cpu_time, std::function<void()> on_complete);
+  ///
+  /// The callback is the engine's own Callback type: it is stored in the
+  /// context's request slot and later moved into the completion event, so
+  /// a capture within EngineCore::kInlineCallbackBytes never allocates.
+  void demand(ContextId ctx, SimTime cpu_time,
+              EngineCore::Callback on_complete);
 
   /// Whether `ctx` currently has an unfinished demand.
   bool has_demand(ContextId ctx) const;
@@ -95,14 +98,15 @@ class Core {
   std::size_t num_contexts() const { return contexts_.size(); }
 
  private:
+  /// A context and its (at most one) outstanding request. The request
+  /// fields are meaningful only while `active` is set.
   struct ContextInfo {
     std::string name;
     double weight = 1.0;
     double consumed_cpu_sec = 0.0;  ///< cumulative
-  };
-  struct Request {
+    bool active = false;
     double remaining_cpu_sec = 0.0;
-    std::function<void()> on_complete;
+    EngineCore::Callback on_complete;
   };
 
   /// Accrues CPU consumption from `last_update_` to now, updating
@@ -119,11 +123,15 @@ class Core {
   CoreId id_;
   double speed_;
   std::vector<ContextInfo> contexts_;
-  /// Ordered by ContextId so every iteration below (FP share sums, the
-  /// completion scan) visits contexts in one platform-independent order —
-  /// an unordered container here would make the trace digest depend on the
-  /// standard library's hashing.
-  std::map<ContextId, Request> active_;
+  /// Contexts with an outstanding request, kept in ascending ContextId
+  /// order so every iteration below (FP share sums, the fluid advance, the
+  /// completion scan and its delivery order) visits contexts in one fixed
+  /// order. Floating-point sums depend on that order: changing it changes
+  /// simulated times in the last bits, and with them the trace digest.
+  std::vector<ContextId> active_;
+  /// Completion scratch for complete_and_reschedule(), kept across calls
+  /// so its capacity is reused.
+  std::vector<EngineCore::Callback> finished_;
   SimTime last_update_ = SimTime::zero();
   double busy_sec_ = 0.0;
   EventHandle completion_event_;

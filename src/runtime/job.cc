@@ -192,7 +192,7 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
 }
 
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
-                          SimTime delay, std::function<void()> cb) {
+                          SimTime delay, EngineCore::Callback cb) {
   if (!sharded()) {
     const int src_node = vm_.machine().node_of(core_of_pe(from_pe));
     const int dst_node = vm_.machine().node_of(core_of_pe(to_pe));
@@ -262,35 +262,38 @@ void RuntimeJob::start_next_task(PeId pe) {
   CLB_CHECK_MSG(!lb_in_progress_,
                 "AtSync contract violated: task runnable during LB barrier");
 
-  Message msg = std::move(p.queue.front());
+  p.running = std::move(p.queue.front());
   p.queue.pop_front();
   p.executing = true;
 
-  Chare& target = *chares_[static_cast<std::size_t>(msg.dest)];
-  const SimTime cost = target.cost(msg);
+  const Chare& target = *chares_[static_cast<std::size_t>(p.running.dest)];
+  const SimTime cost = target.cost(p.running);
   CLB_CHECK(!cost.is_negative());
   const SimTime begin = ctx_now(pe);
 
   vm_.demand(pe, cost,
-             [this, pe, begin, cost, m = std::move(msg)]() mutable {
-               if (sharded()) {
-                 auto& seg = part_->seg(shard_of_pe(pe));
-                 seg.db.record_task(m.dest, cost.to_seconds());
-                 seg.window_cpu_sec += cost.to_seconds();
-                 ++seg.tasks_executed;
-               } else {
-                 db_.record_task(m.dest, cost.to_seconds());
-                 ++counters_.tasks_executed;
-               }
-               if (observer_ != nullptr)
-                 observer_->on_task_executed(*this, pe, core_of_pe(pe),
-                                             m.dest, m.tag, begin,
-                                             ctx_now(pe));
-               chares_[static_cast<std::size_t>(m.dest)]->execute(m);
-               pes_[static_cast<std::size_t>(pe)].executing = false;
-               pump_service(pe);
-               start_next_task(pe);
-             });
+             [this, pe, begin, cost] { finish_task(pe, begin, cost); });
+}
+
+void RuntimeJob::finish_task(PeId pe, SimTime begin, SimTime cost) {
+  auto& p = pes_[static_cast<std::size_t>(pe)];
+  const Message m = std::move(p.running);
+  if (sharded()) {
+    auto& seg = part_->seg(shard_of_pe(pe));
+    seg.db.record_task(m.dest, cost.to_seconds());
+    seg.window_cpu_sec += cost.to_seconds();
+    ++seg.tasks_executed;
+  } else {
+    db_.record_task(m.dest, cost.to_seconds());
+    ++counters_.tasks_executed;
+  }
+  if (observer_ != nullptr)
+    observer_->on_task_executed(*this, pe, core_of_pe(pe), m.dest, m.tag,
+                                begin, ctx_now(pe));
+  chares_[static_cast<std::size_t>(m.dest)]->execute(m);
+  p.executing = false;
+  pump_service(pe);
+  start_next_task(pe);
 }
 
 void RuntimeJob::at_sync(ChareId chare) {

@@ -251,6 +251,10 @@ class RuntimeJob {
   struct Pe {
     std::deque<Message> queue;
     bool executing = false;
+    /// The message whose task is executing (valid while `executing`).
+    /// Kept here rather than in the demand's completion closure: the
+    /// closure then fits the engine's inline callback budget.
+    Message running;
     std::deque<ServiceItem> services;
     bool service_active = false;
     // Measurement-window anchors for LbStats (reset after each LB step).
@@ -272,7 +276,7 @@ class RuntimeJob {
   /// `to_pe`'s engine. Legacy mode preserves the exact pre-sharding call
   /// sequence (including the optional JobConfig::router path).
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
-                                   SimTime delay, std::function<void()> cb);
+                                   SimTime delay, EngineCore::Callback cb);
 
   CLB_SHARD_CONFINED void deliver(Message msg);
   [[nodiscard]] SimTime sampled_idle_at(PeId pe, SimTime t) const;
@@ -283,6 +287,8 @@ class RuntimeJob {
   CLB_SHARD_CONFINED SimTime network_delay(CoreId src, CoreId dst,
                                            std::size_t bytes, SimTime now);
   CLB_SHARD_CONFINED void start_next_task(PeId pe);
+  /// Completion of the task start_next_task() began on `pe`.
+  CLB_SHARD_CONFINED void finish_task(PeId pe, SimTime begin, SimTime cost);
   void enqueue_service(PeId pe, SimTime cpu, std::function<void()> done);
   // Services execute in the owning PE's engine context whenever pumped
   // (post-task mid-window or at barriers), hence shard-confined.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -419,6 +421,48 @@ TEST(Mol3dTest, DeterministicAcrossRuns) {
     return sum;
   };
   EXPECT_DOUBLE_EQ(fingerprint(), fingerprint());
+}
+
+TEST(Mol3dTest, FinalStateMatchesPinnedDigest) {
+  // DeterministicAcrossRuns only compares a run with itself; this pins
+  // the numerics against a recorded value, so a change to the force loop,
+  // the integrator or the particle hand-off that moves a single bit fails
+  // here. Hashes every particle's position and velocity bit patterns in
+  // chare order, then the elapsed time, after a run with migrations.
+  const Mol3dConfig config = small_mol(12);
+  AppRig rig{4, 4, std::make_unique<GreedyLb>()};
+  populate_mol3d(*rig.job, config);
+  rig.run();
+  ASSERT_GT(rig.job->counters().migrations, 0);
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (word >> (8 * b)) & 0xffU;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_double = [&mix](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  for (std::size_t c = 0; c < rig.job->num_chares(); ++c) {
+    auto* cell =
+        dynamic_cast<Mol3dChare*>(&rig.job->chare(static_cast<ChareId>(c)));
+    ASSERT_NE(cell, nullptr);
+    for (const Particle& p : cell->particles()) {
+      mix_double(p.x);
+      mix_double(p.y);
+      mix_double(p.z);
+      mix_double(p.vx);
+      mix_double(p.vy);
+      mix_double(p.vz);
+    }
+  }
+  mix(static_cast<std::uint64_t>(rig.job->elapsed().ns()));
+  EXPECT_EQ(digest, 0x1012e70e612efa3cULL)
+      << std::hex << "digest 0x" << digest;
 }
 
 TEST(Mol3dTest, SurvivesMigrations) {

@@ -311,5 +311,61 @@ TEST(CliTest, ForecastingPenaltyRunsEndToEnd) {
   EXPECT_NE(r.out.find("app penalty (%)"), std::string::npos);
 }
 
+// More cores than chares used to abort deep in RuntimeJob::start with a
+// CHECK on the overdecomposition invariant; the configuration is now
+// rejected when it is built, naming the flag and the app's chare count.
+struct CoreOverflow {
+  const char* app;
+  int cores;
+  const char* chares;
+};
+
+class CliCoreOverflowTest : public ::testing::TestWithParam<CoreOverflow> {};
+
+TEST_P(CliCoreOverflowTest, PenaltyRejectsMoreCoresThanChares) {
+  const CoreOverflow c = GetParam();
+  const CliResult r = cli({"penalty", std::string{"--app="} + c.app,
+                           "--cores=" + std::to_string(c.cores)});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--cores=" + std::to_string(c.cores)),
+            std::string::npos)
+      << r.err;
+  EXPECT_NE(r.err.find(std::string{c.chares} + " chares of " + c.app),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("overdecomposition"), std::string::npos) << r.err;
+}
+
+TEST_P(CliCoreOverflowTest, SweepRejectsMoreCoresThanChares) {
+  // One bad entry in the list fails the sweep before any cell runs.
+  const CoreOverflow c = GetParam();
+  const CliResult r =
+      cli({"sweep", std::string{"--app="} + c.app,
+           "--cores=4," + std::to_string(c.cores), "--balancers=null"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  EXPECT_NE(r.err.find(std::string{c.chares} + " chares of " + c.app),
+            std::string::npos)
+      << r.err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, CliCoreOverflowTest,
+    ::testing::Values(CoreOverflow{"jacobi2d", 1024, "512"},
+                      CoreOverflow{"wave2d", 4096, "512"},
+                      CoreOverflow{"mol3d", 256, "128"}),
+    [](const auto& test_info) { return std::string{test_info.param.app}; });
+
+TEST(CliTest, CoresBelowBackgroundJobFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--cores=1 is below the 2 cores"), std::string::npos)
+      << r.err;
+  const CliResult zero = cli({"sweep", "--cores=0"});
+  EXPECT_EQ(zero.code, 1);
+  EXPECT_NE(zero.err.find("--cores must be at least 1"), std::string::npos)
+      << zero.err;
+}
+
 }  // namespace
 }  // namespace cloudlb

@@ -326,6 +326,10 @@ TEST_P(StencilGeometryTest, JacobiMatchesReferenceBitwise) {
   }
 }
 
+// The last four layouts reach the row sweep's special cases (both kernels
+// read neighbours through row pointers and take the first/last row and
+// column from ghosts): a column of width one reads the west and east
+// ghosts for the same point, a row of height one the north and south.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, StencilGeometryTest,
     ::testing::Values(StencilGeometry{16, 16, 1, 1, 1},   // single block
@@ -334,7 +338,11 @@ INSTANTIATE_TEST_SUITE_P(
                       StencilGeometry{64, 8, 8, 1, 4},    // 1D strip
                       StencilGeometry{8, 64, 1, 8, 4},    // 1D column
                       StencilGeometry{40, 40, 8, 8, 8},   // chare == 5x5
-                      StencilGeometry{23, 17, 7, 5, 6}),  // primes
+                      StencilGeometry{23, 17, 7, 5, 6},   // primes
+                      StencilGeometry{25, 19, 4, 3, 3},   // uneven 25x19
+                      StencilGeometry{12, 10, 12, 2, 4},  // 1-point-wide
+                      StencilGeometry{10, 12, 2, 12, 4},  // 1-point-tall
+                      StencilGeometry{6, 5, 6, 5, 4}),    // 1x1 blocks
     [](const auto& test_info) {
       const StencilGeometry& g = test_info.param;
       return std::to_string(g.grid_x) + "x" + std::to_string(g.grid_y) +

@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <new>
 
+#include "machine/machine.h"
 #include "sim/simulator.h"
 #include "util/thread_pool.h"
 #include "util/validate.h"
+#include "vm/virtual_machine.h"
 
 namespace {
 
@@ -202,6 +204,56 @@ TEST(SimAllocTest, WorkerTeamRoundsAreAllocationFree) {
   EXPECT_EQ(wide.lanes[0], 51u);
   EXPECT_EQ(wide.lanes[1], 51u);
   EXPECT_EQ(wide.lanes[2], 51u);
+}
+
+TEST(SimAllocTest, WarmDemandChainIsAllocationFree) {
+  // The zero-allocation promise extends through the machine and VM
+  // layers: a demand's completion callback is an engine Callback stored
+  // inline in the core's per-context request slot, and the completion
+  // scan reuses its scratch. Two VMs co-located on every core keep the
+  // active sets churning (shares, reschedules, cancellations), as an
+  // interfered application does.
+  constexpr int kCores = 4;
+  Simulator sim;
+  Machine machine{sim, MachineConfig{.nodes = 1,
+                                     .cores_per_node = kCores,
+                                     .core_speed_overrides = {}}};
+  const std::vector<CoreId> all{0, 1, 2, 3};
+  VirtualMachine app{machine, "app", all};
+  VirtualMachine bg{machine, "bg", all};
+
+  struct Chain {
+    VirtualMachine* vm;
+    int vcpu;
+    SimTime cost;
+    std::uint64_t* done;
+    std::uint64_t limit;
+    void request() {
+      vm->demand(vcpu, cost, [this] {
+        if (++*done < limit) request();
+      });
+    }
+  };
+  std::uint64_t done = 0;
+  std::vector<Chain> chains;
+  for (int v = 0; v < kCores; ++v) {
+    chains.push_back(Chain{&app, v, SimTime::micros(1000), &done, 0});
+    chains.push_back(Chain{&bg, v, SimTime::micros(1500), &done, 0});
+  }
+  const auto run_chains = [&](std::uint64_t completions) {
+    done = 0;
+    for (Chain& chain : chains) chain.limit = completions;
+    for (Chain& chain : chains) chain.request();
+    while (sim.step()) {
+    }
+  };
+
+  run_chains(2'000);  // warm-up: grows the arena, heap and scratch
+  probe_arm();
+  run_chains(20'000);
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GE(done, 20'000u);
 }
 
 }  // namespace
