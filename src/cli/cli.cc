@@ -299,11 +299,12 @@ int cmd_record(Options& options, std::ostream& out) {
 
   std::ofstream file{path};
   CLB_CHECK_MSG(file.good(), "cannot open " << path << " for writing");
-  auto recorder = std::make_unique<RecordingLb>(
-      make_balancer(config.balancer, config.lb_options), &file);
-  const RecordingLb* probe = recorder.get();
-  const RunResult r = run_scenario_with(config, std::move(recorder));
-  out << "recorded " << probe->windows_recorded() << " LB windows to "
+  // Borrowed, not handed over: the window count is read after the run,
+  // and the owning overload destroys its balancer with the job.
+  RecordingLb recorder{make_balancer(config.balancer, config.lb_options),
+                       &file};
+  const RunResult r = run_scenario_with(config, recorder);
+  out << "recorded " << recorder.windows_recorded() << " LB windows to "
       << path << " (run took " << r.app_elapsed.to_string() << ", "
       << r.lb_migrations << " migrations)\n";
   return 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -81,49 +82,92 @@ bool stats_sane(const LbStats& stats) {
   return std::all_of(stats.pes.begin(), stats.pes.end(), pe_sample_sane);
 }
 
-WindowedBackgroundEstimator::WindowedBackgroundEstimator(int window,
-                                                         double clamp_factor)
-    : window_{window}, clamp_factor_{clamp_factor} {
-  CLB_CHECK_MSG(window >= 3, "outlier window needs at least 3 samples");
-  CLB_CHECK(clamp_factor >= 1.0);
+BackgroundLoadEstimator::BackgroundLoadEstimator(
+    const LbRobustnessOptions& options, bool smooth)
+    : options_{options}, forecaster_{make_forecasting_estimator(options)} {
+  if (options_.estimator_window > 0) {
+    CLB_CHECK_MSG(options_.estimator_window >= 3,
+                  "outlier window needs at least 3 samples");
+    CLB_CHECK(options_.estimator_clamp_factor >= 1.0);
+  }
+  if (smooth) {
+    LbRobustnessOptions ewma = options_;
+    ewma.estimator_mode = EstimatorMode::kEwma;
+    smoother_ = make_forecasting_estimator(ewma);
+  }
 }
 
-std::vector<double> WindowedBackgroundEstimator::estimate(
-    const LbStats& stats) {
-  if (history_.size() != stats.pes.size()) {
-    history_.assign(stats.pes.size(), {});
-    next_.assign(stats.pes.size(), 0);
+std::vector<double> BackgroundLoadEstimator::estimate(const LbStats& stats) {
+  std::vector<double> o_p = estimate_background_load(stats);
+  if (options_.estimator_window > 0) clamp_outliers(stats, o_p);
+  if (forecaster_ != nullptr) forecast(stats, o_p);
+  if (smoother_ != nullptr)
+    o_p = smoother_->step(o_p, options_.forecast_horizon).predicted;
+  return o_p;
+}
+
+void BackgroundLoadEstimator::clamp_outliers(const LbStats& stats,
+                                             std::vector<double>& o_p) {
+  if (history_.size() != o_p.size()) {
+    history_.assign(o_p.size(), {});
+    next_.assign(o_p.size(), 0);
   }
-  std::vector<double> out;
-  out.reserve(stats.pes.size());
-  for (std::size_t p = 0; p < stats.pes.size(); ++p) {
-    const double raw = estimate_background_load(stats.pes[p]);
-    double value = raw;
+  const auto window = static_cast<std::size_t>(options_.estimator_window);
+  for (std::size_t p = 0; p < o_p.size(); ++p) {
+    const double raw = o_p[p];
     auto& ring = history_[p];
     if (ring.size() >= 3) {
       // The slack term keeps the ceiling open when the median is zero (a
       // previously quiet core), so genuine new interference ramps in at a
       // bounded rate per window instead of being suppressed forever.
       const double ceiling =
-          clamp_factor_ * median_of(ring) +
+          options_.estimator_clamp_factor * median_of(ring) +
           wall_slack(std::max(stats.pes[p].wall_sec, 0.0));
       if (raw > ceiling) {
-        value = ceiling;
+        o_p[p] = ceiling;
         ++clamped_;
-        CLB_DEBUG("windowed estimator: PE " << stats.pes[p].pe
-                                            << " O_p clamped " << raw
-                                            << " -> " << value);
+        CLB_DEBUG("background estimator: PE " << stats.pes[p].pe
+                                              << " O_p clamped " << raw
+                                              << " -> " << ceiling);
       }
     }
-    if (ring.size() < static_cast<std::size_t>(window_)) {
+    if (ring.size() < window) {
       ring.push_back(raw);
     } else {
       ring[next_[p]] = raw;
-      next_[p] = (next_[p] + 1) % static_cast<std::size_t>(window_);
+      next_[p] = (next_[p] + 1) % window;
     }
-    out.push_back(value);
   }
-  return out;
+}
+
+void BackgroundLoadEstimator::forecast(const LbStats& stats,
+                                       std::vector<double>& o_p) {
+  // Score the forecast this window was balanced against, before the
+  // forecaster sees the new observation. A topology change (size
+  // mismatch) voids the old forecast rather than counting it wrong.
+  last_mispredicted_ = false;
+  if (last_predicted_.size() == o_p.size()) {
+    for (std::size_t p = 0; p < o_p.size(); ++p) {
+      const double tolerance =
+          last_band_[p] + wall_slack(std::max(stats.pes[p].wall_sec, 0.0));
+      if (std::abs(o_p[p] - last_predicted_[p]) > tolerance) {
+        last_mispredicted_ = true;
+        break;
+      }
+    }
+    if (last_mispredicted_) ++mispredicted_;
+  }
+
+  Forecast f = forecaster_->step(o_p, options_.forecast_horizon);
+  for (std::size_t p = 0; p < o_p.size(); ++p) {
+    const double wall = std::max(stats.pes[p].wall_sec, 0.0);
+    // Same physical bound as the Eq. 2 boundary clamp: no co-located VM
+    // can consume more than the window, predicted or not.
+    o_p[p] = std::clamp(f.predicted[p] + options_.forecast_margin * f.band[p],
+                        0.0, wall);
+  }
+  last_predicted_ = std::move(f.predicted);
+  last_band_ = std::move(f.band);
 }
 
 }  // namespace cloudlb

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "core/forecasting_estimator.h"
 #include "lb/framework.h"
 
 namespace cloudlb {
@@ -41,7 +43,7 @@ bool stats_sane(const LbStats& stats);
 /// Tolerance for "a duration exceeds the wall window": an absolute floor
 /// for tiny windows plus a relative allowance for clock jitter and jiffy
 /// rounding. The single source of the wall-slack fraction — the sanity
-/// gate, the windowed clamp ceiling, and the forecast mispredict test all
+/// gate, the outlier-clamp ceiling, and the forecast mispredict test all
 /// share it so the tolerances cannot drift apart.
 double wall_slack(double wall_sec);
 
@@ -50,37 +52,83 @@ double wall_slack(double wall_sec);
 /// middle alone would bias the clamp ceiling by half an element.
 double median_of(std::vector<double> samples);
 
-/// Eq. 2 with windowed outlier rejection (a median-of-window clamp).
+/// The one background-load pipeline: what every interference-aware
+/// balancer (ia-refine, its ia-refine-ewma preset, gain-gated) plans
+/// against. Built from LbRobustnessOptions, it runs fixed stages in a
+/// fixed order (docs/estimators.md):
 ///
-/// Keeps the last `window` raw estimates per PE and caps each new one at
+///   1. Eq. 2 with its boundary clamp (estimate_background_load);
+///   2. median-of-window outlier clamp, when estimator_window > 0 — each
+///      estimate is capped at
+///          clamp_factor · median(last window raws) + wall_slack(T_lb),
+///      so a one-window glitch cannot command a migration storm while a
+///      sustained rise shifts the median and passes within ~window/2
+///      steps. Raw values enter the history (never the clamped ones) so
+///      the clamp cannot latch itself shut;
+///   3. forecaster, when estimator_mode != persist: the balancer plans
+///      against `predicted + margin · band`, clamped into [0, T_lb]. The
+///      forecaster learns the *clamped* series, so a glitch stage 2
+///      absorbed cannot poison its trend state;
+///   4. EWMA smoothing `Ô ← α·O + (1−α)·Ô` with α = forecast_alpha, only
+///      when `smooth` is set (the ia-refine-ewma preset). It runs after
+///      stage 3's clamp and is not clamped itself: it averages values
+///      each already inside its own window, and a clamp to the *current*
+///      window would bind whenever a short window follows a long busy
+///      one — common under tenant churn — and change the preset's
+///      decisions.
 ///
-///     clamp_factor · median(window) + wall_slack(T_lb)
+/// With default options (persist, no window, no smoothing) the output is
+/// exactly estimate_background_load — pinned by the golden trace digest.
 ///
-/// so a one-window measurement glitch (dropped sample, corrupted counter,
-/// interference alias) cannot command a migration storm, while a genuine
-/// sustained rise feeds the window, shifts the median, and passes through
-/// within ~window/2 LB steps. Raw values enter the history (never the
-/// clamped ones) so the clamp cannot latch itself shut. Non-finite raw
-/// estimates cannot occur (the boundary clamp rejects them) but a PE
-/// count change resets the history.
-class WindowedBackgroundEstimator {
+/// The pipeline also keeps the books on stage 3's mistakes: a window
+/// whose observation lands outside the previous forecast's confidence
+/// band (plus the wall-slack tolerance) counts as mispredicted. Every
+/// stage resets its per-PE state when the PE count changes.
+class BackgroundLoadEstimator {
  public:
-  WindowedBackgroundEstimator(int window, double clamp_factor);
+  explicit BackgroundLoadEstimator(const LbRobustnessOptions& options,
+                                   bool smooth = false);
 
-  /// Per-PE clamped estimates; same shape as estimate_background_load.
+  /// Per-PE background loads to balance against (shape of stats.pes).
   std::vector<double> estimate(const LbStats& stats);
 
-  /// Estimates capped by the clamp so far (diagnostics/tests). Cumulative
-  /// over the estimator's lifetime: a PE-count change resets the history
-  /// rings but never this counter.
+  /// True when stage 3 (a forecasting mode other than persist) is active.
+  bool forecasting() const { return forecaster_ != nullptr; }
+
+  /// True when stage 4 (EWMA smoothing) is active.
+  bool smoothing() const { return smoother_ != nullptr; }
+
+  /// Estimates capped by the outlier clamp so far; 0 without a window.
+  /// Cumulative over the estimator's lifetime: a PE-count change resets
+  /// the history rings but never this counter.
   int clamped_count() const { return clamped_; }
 
+  /// Windows whose observation fell outside the previous forecast's
+  /// confidence band. Always 0 in persist mode (nothing predicts).
+  int mispredicted_windows() const { return mispredicted_; }
+
+  /// Whether the newest estimate() call found the previous forecast
+  /// wrong — i.e. whatever the balancer does *this* window, it does off
+  /// the back of a misprediction.
+  bool last_window_mispredicted() const { return last_mispredicted_; }
+
  private:
-  int window_;
-  double clamp_factor_;
-  std::vector<std::vector<double>> history_;  ///< per PE, ring of raws
-  std::vector<std::size_t> next_;             ///< per-PE ring cursor
+  void clamp_outliers(const LbStats& stats, std::vector<double>& o_p);
+  void forecast(const LbStats& stats, std::vector<double>& o_p);
+
+  LbRobustnessOptions options_;
+  // Stage 2: per-PE ring of raw estimates.
+  std::vector<std::vector<double>> history_;
+  std::vector<std::size_t> next_;
   int clamped_ = 0;
+  // Stage 3: the forecaster and the forecast this window is scored on.
+  std::unique_ptr<ForecastingEstimator> forecaster_;
+  std::vector<double> last_predicted_;
+  std::vector<double> last_band_;
+  int mispredicted_ = 0;
+  bool last_mispredicted_ = false;
+  // Stage 4: an EWMA forecaster whose flat level is the smoothed O_p.
+  std::unique_ptr<ForecastingEstimator> smoother_;
 };
 
 }  // namespace cloudlb

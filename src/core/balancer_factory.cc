@@ -1,7 +1,6 @@
 #include "core/balancer_factory.h"
 
 #include "core/gain_gated_lb.h"
-#include "core/smoothed_lb.h"
 #include "core/interference_aware_lb.h"
 #include "lb/registry.h"
 #include "util/check.h"
@@ -10,18 +9,14 @@ namespace cloudlb {
 
 std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
                                             LbOptions options) {
-  if (name == "ia-refine")
-    return std::make_unique<InterferenceAwareRefineLb>(options);
+  if (name == "ia-refine" || name == "ia-refine-ewma")
+    return std::make_unique<InterferenceAwareRefineLb>(
+        options, /*smooth=*/name == "ia-refine-ewma");
   if (name == "gain-gated") {
     GainGateOptions gg;
     gg.base = options;
     gg.migration_sec_per_byte = options.migration_sec_per_byte_hint;
     return std::make_unique<MigrationGainGatedLb>(gg);
-  }
-  if (name == "ia-refine-ewma") {
-    SmoothedInterferenceAwareLb::Options so;
-    so.base = options;
-    return std::make_unique<SmoothedInterferenceAwareLb>(so);
   }
   auto baseline = make_baseline_balancer(name, options);
   CLB_CHECK_MSG(baseline != nullptr, "unknown balancer: " << name);

@@ -10,7 +10,8 @@ namespace cloudlb {
 
 /// Creates any strategy in the library by name: the baselines ("null",
 /// "greedy", "refine", "random") plus the paper's strategies ("ia-refine",
-/// "gain-gated"). Throws CheckFailure for unknown names.
+/// its "ia-refine-ewma" smoothing preset, "gain-gated"). Throws
+/// CheckFailure for unknown names.
 std::unique_ptr<LoadBalancer> make_balancer(const std::string& name,
                                             LbOptions options = {});
 

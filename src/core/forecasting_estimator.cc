@@ -230,54 +230,4 @@ std::string estimator_mode_name(EstimatorMode mode) {
   return "persist";
 }
 
-ProactiveBackgroundEstimator::ProactiveBackgroundEstimator(
-    const LbRobustnessOptions& options)
-    : options_{options},
-      forecaster_{make_forecasting_estimator(options)} {
-  if (options_.estimator_window > 0)
-    windowed_ = std::make_unique<WindowedBackgroundEstimator>(
-        options_.estimator_window, options_.estimator_clamp_factor);
-}
-
-std::vector<double> ProactiveBackgroundEstimator::estimate(
-    const LbStats& stats) {
-  // Clamp first: the forecaster must learn the trend of the *clamped*
-  // series, or a one-window glitch would both command a migration and
-  // poison the velocity for windows afterwards.
-  std::vector<double> observed = windowed_ != nullptr
-                                     ? windowed_->estimate(stats)
-                                     : estimate_background_load(stats);
-  if (forecaster_ == nullptr) return observed;  // persist: the paper's path
-
-  // Score the forecast this window was balanced against, before the
-  // forecaster sees the new observation. A topology change (size
-  // mismatch) voids the old forecast rather than counting it wrong.
-  last_mispredicted_ = false;
-  if (last_predicted_.size() == observed.size()) {
-    for (std::size_t p = 0; p < observed.size(); ++p) {
-      const double tolerance =
-          last_band_[p] + wall_slack(std::max(stats.pes[p].wall_sec, 0.0));
-      if (std::abs(observed[p] - last_predicted_[p]) > tolerance) {
-        last_mispredicted_ = true;
-        break;
-      }
-    }
-    if (last_mispredicted_) ++mispredicted_;
-  }
-
-  Forecast f = forecaster_->step(observed, options_.forecast_horizon);
-  last_predicted_ = f.predicted;
-  last_band_ = f.band;
-
-  std::vector<double> out(observed.size());
-  for (std::size_t p = 0; p < out.size(); ++p) {
-    const double wall = std::max(stats.pes[p].wall_sec, 0.0);
-    // Same physical bound as the Eq. 2 boundary clamp: no co-located VM
-    // can consume more than the window, predicted or not.
-    out[p] = std::clamp(
-        f.predicted[p] + options_.forecast_margin * f.band[p], 0.0, wall);
-  }
-  return out;
-}
-
 }  // namespace cloudlb

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/background_estimator.h"
 #include "lb/framework.h"
 
 namespace cloudlb {
@@ -13,7 +12,7 @@ namespace cloudlb {
 struct Forecast {
   /// Predicted O_p per PE, `horizon` windows ahead of the newest
   /// observation. Extrapolation may leave [0, T_lb]; the consumer clamps
-  /// (ProactiveBackgroundEstimator does) because only it knows T_lb.
+  /// (BackgroundLoadEstimator does) because only it knows T_lb.
   std::vector<double> predicted;
 
   /// One-sided confidence half-width per PE — an online estimate of the
@@ -60,54 +59,5 @@ std::unique_ptr<ForecastingEstimator> make_forecasting_estimator(
 /// "regress"). from_name throws CheckFailure listing the valid names.
 EstimatorMode estimator_mode_from_name(const std::string& name);
 std::string estimator_mode_name(EstimatorMode mode);
-
-/// The composed estimator front-end the interference-aware balancers use:
-///
-///     Eq. 2  →  [median-of-window outlier clamp]  →  [forecaster]
-///
-/// In the default configuration (persist mode, no clamp window) this is
-/// exactly `estimate_background_load` — same calls, same values, pinned
-/// byte-identical by the golden trace digest. With a clamp window the
-/// clamp runs first so a one-window measurement glitch cannot poison the
-/// forecaster's trend state; with a forecasting mode the balancer plans
-/// against `predicted + margin · band`, clamped into [0, T_lb].
-///
-/// The front-end also keeps the books on its own mistakes: a window whose
-/// observation lands outside the previous forecast's confidence band
-/// (plus the wall-slack tolerance) counts as mispredicted, which the
-/// balancer uses to attribute migration churn to bad forecasts.
-class ProactiveBackgroundEstimator {
- public:
-  explicit ProactiveBackgroundEstimator(const LbRobustnessOptions& options);
-
-  /// Per-PE background loads to balance against (shape of stats.pes).
-  std::vector<double> estimate(const LbStats& stats);
-
-  /// True when a forecasting mode (anything but persist) is active.
-  bool forecasting() const { return forecaster_ != nullptr; }
-
-  /// Estimates capped by the outlier clamp so far; 0 without a window.
-  int clamped_count() const {
-    return windowed_ != nullptr ? windowed_->clamped_count() : 0;
-  }
-
-  /// Windows whose observation fell outside the previous forecast's
-  /// confidence band. Always 0 in persist mode (nothing predicts).
-  int mispredicted_windows() const { return mispredicted_; }
-
-  /// Whether the newest estimate() call found the previous forecast
-  /// wrong — i.e. whatever the balancer does *this* window, it does off
-  /// the back of a misprediction.
-  bool last_window_mispredicted() const { return last_mispredicted_; }
-
- private:
-  LbRobustnessOptions options_;
-  std::unique_ptr<WindowedBackgroundEstimator> windowed_;
-  std::unique_ptr<ForecastingEstimator> forecaster_;
-  std::vector<double> last_predicted_;  ///< forecast made for this window
-  std::vector<double> last_band_;
-  int mispredicted_ = 0;
-  bool last_mispredicted_ = false;
-};
 
 }  // namespace cloudlb

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/background_estimator.h"
 #include "lb/refinement.h"
 
 namespace cloudlb {
@@ -21,7 +20,7 @@ double max_pe_load(const LbStats& stats, const std::vector<double>& background,
 }  // namespace
 
 std::vector<PeId> MigrationGainGatedLb::assign(const LbStats& stats) {
-  const std::vector<double> background = estimate_background_load(stats);
+  const std::vector<double> background = estimator_.estimate(stats);
   RefinementResult refined =
       refine_assignment(stats, background, make_refinement_options(options_.base));
 

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <string>
+
+#include "core/background_estimator.h"
 #include "lb/framework.h"
 
 namespace cloudlb {
@@ -35,11 +38,13 @@ struct GainGateOptions {
 /// horizon (the improved balance keeps paying off window after window).
 /// Cost is the serialized bytes of every moved chare times an assumed
 /// per-byte migration cost. When gain < cost · threshold the step keeps
-/// the current mapping.
+/// the current mapping. O_p comes from the same BackgroundLoadEstimator
+/// pipeline ia-refine uses, so `base.robustness` (outlier clamp,
+/// forecasting mode) applies here too.
 class MigrationGainGatedLb final : public LoadBalancer {
  public:
   explicit MigrationGainGatedLb(GainGateOptions options)
-      : options_{options} {}
+      : options_{options}, estimator_{options.base.robustness} {}
   MigrationGainGatedLb() : MigrationGainGatedLb(GainGateOptions{}) {}
 
   std::string name() const override { return "gain-gated"; }
@@ -50,6 +55,7 @@ class MigrationGainGatedLb final : public LoadBalancer {
 
  private:
   GainGateOptions options_;
+  BackgroundLoadEstimator estimator_;
   int gated_steps_ = 0;
   int migrating_steps_ = 0;
 };

@@ -5,8 +5,9 @@
 
 namespace cloudlb {
 
-InterferenceAwareRefineLb::InterferenceAwareRefineLb(LbOptions options)
-    : options_{options}, estimator_{options.robustness} {}
+InterferenceAwareRefineLb::InterferenceAwareRefineLb(LbOptions options,
+                                                     bool smooth)
+    : options_{options}, estimator_{options.robustness, smooth} {}
 
 std::vector<PeId> InterferenceAwareRefineLb::assign(const LbStats& stats) {
   if (options_.robustness.fallback_on_insane_stats && !stats_sane(stats)) {

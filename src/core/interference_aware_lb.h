@@ -1,6 +1,8 @@
 #pragma once
 
-#include "core/forecasting_estimator.h"
+#include <string>
+
+#include "core/background_estimator.h"
 #include "lb/framework.h"
 
 namespace cloudlb {
@@ -28,11 +30,18 @@ namespace cloudlb {
 /// balances against the *predicted* next-window O_p and migrates before a
 /// spike lands instead of one window after it. The default persist mode
 /// takes none of these paths and stays byte-identical to the paper.
+///
+/// All of this is one BackgroundLoadEstimator pipeline. `smooth` turns on
+/// its last stage, an EWMA of O_p weighted by forecast_alpha: that is the
+/// `ia-refine-ewma` preset, steadier under bursty tenants.
 class InterferenceAwareRefineLb final : public LoadBalancer {
  public:
-  explicit InterferenceAwareRefineLb(LbOptions options = {});
+  explicit InterferenceAwareRefineLb(LbOptions options = {},
+                                     bool smooth = false);
 
-  std::string name() const override { return "ia-refine"; }
+  std::string name() const override {
+    return estimator_.smoothing() ? "ia-refine-ewma" : "ia-refine";
+  }
   std::vector<PeId> assign(const LbStats& stats) override;
 
   /// Total chares moved across all assign() calls (diagnostics).
@@ -53,7 +62,7 @@ class InterferenceAwareRefineLb final : public LoadBalancer {
 
  private:
   LbOptions options_;
-  ProactiveBackgroundEstimator estimator_;
+  BackgroundLoadEstimator estimator_;
   int total_migrations_ = 0;
   int garbage_fallbacks_ = 0;
   int mispredict_churn_ = 0;

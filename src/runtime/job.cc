@@ -45,9 +45,6 @@ RuntimeJob::RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm,
   CLB_CHECK(config_.lb_period >= 0);
   CLB_CHECK(config_.pack_sec_per_byte >= 0.0);
   CLB_CHECK(config_.unpack_sec_per_byte >= 0.0);
-  CLB_CHECK_MSG(config_.router == nullptr,
-                "JobConfig::router is the legacy single-engine window shim; "
-                "the sharded host speaks the window protocol natively");
   host_->register_job(this);
 }
 
@@ -194,13 +191,6 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
                           SimTime delay, EngineCore::Callback cb) {
   if (!sharded()) {
-    const int src_node = vm_.machine().node_of(core_of_pe(from_pe));
-    const int dst_node = vm_.machine().node_of(core_of_pe(to_pe));
-    if (config_.router != nullptr &&
-        config_.router->crosses_shards(src_node, dst_node)) {
-      config_.router->route(src_node, dst_node, base + delay, std::move(cb));
-      return;
-    }
     sim_->schedule_after(delay, std::move(cb));
     return;
   }
@@ -553,17 +543,7 @@ void RuntimeJob::attempt_migration(ChareId chare, PeId from, PeId to,
                                                std::move(arrive));
           return;
         }
-        // Migration state crossing a shard boundary rides the same
-        // windowed channel as messages — it is just bigger cargo.
-        const int src_node = vm_.machine().node_of(core_of_pe(from));
-        const int dst_node = vm_.machine().node_of(core_of_pe(to));
-        if (config_.router != nullptr &&
-            config_.router->crosses_shards(src_node, dst_node)) {
-          config_.router->route(src_node, dst_node, sim_->now() + transfer,
-                                std::move(arrive));
-        } else {
-          sim_->schedule_after(transfer, std::move(arrive));
-        }
+        sim_->schedule_after(transfer, std::move(arrive));
       });
 }
 

@@ -15,7 +15,6 @@
 #include "runtime/message.h"
 #include "runtime/network.h"
 #include "runtime/observer.h"
-#include "sim/shard_router.h"
 #include "sim/simulator.h"
 #include "util/shard_annotations.h"
 #include "vm/virtual_machine.h"
@@ -71,16 +70,6 @@ struct JobConfig {
   /// (500 us, 1 ms, 2 ms, ... — bounding the barrier stall a flaky
   /// migration path can cause to max_retries doublings).
   SimTime migration_retry_backoff = SimTime::micros(500);
-
-  /// Shard-aware delivery routing on the *legacy* single engine
-  /// (non-owning; see src/sim/shard_router.h). When set, messages and
-  /// migration transfers between machine nodes on different shards are
-  /// buffered by the router and released at conservative window barriers
-  /// in canonical channel-merge order instead of being scheduled
-  /// directly. Null — the default — keeps the legacy direct path
-  /// bit-identical. Must be null under the sharded-host constructor,
-  /// which speaks the window protocol natively.
-  ShardRouter* router = nullptr;
 };
 
 /// A parallel job under the message-driven runtime: a set of chares mapped
@@ -114,9 +103,8 @@ class RuntimeJob {
              std::unique_ptr<LoadBalancer> balancer);
 
   /// Shard-partitioned mode: the job registers with `host` and is
-  /// advanced by host.drive(). Requires config.router == nullptr (the
-  /// host speaks the window protocol itself) and no observer (the tracer
-  /// is a legacy-engine facility).
+  /// advanced by host.drive(). Requires no observer (the tracer is a
+  /// legacy-engine facility).
   RuntimeJob(ShardedRuntimeHost& host, VirtualMachine& vm, JobConfig config,
              std::unique_ptr<LoadBalancer> balancer);
   ~RuntimeJob();
@@ -274,7 +262,7 @@ class RuntimeJob {
   [[nodiscard]] SimTime ctx_now(PeId pe) const;
   /// Delivery routing: schedules `cb` at base + delay in the context of
   /// `to_pe`'s engine. Legacy mode preserves the exact pre-sharding call
-  /// sequence (including the optional JobConfig::router path).
+  /// sequence.
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
                                    SimTime delay, EngineCore::Callback cb);
 

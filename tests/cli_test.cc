@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "cli/cli.h"
+#include "lb/stats_io.h"
 #include "util/check.h"
 #include "util/options.h"
 
@@ -208,6 +211,17 @@ TEST(CliTest, RecordThenReplayRoundTrip) {
   EXPECT_EQ(replay.code, 0) << replay.err;
   EXPECT_NE(replay.out.find("max load before"), std::string::npos);
   EXPECT_NE(replay.out.find("total migrations"), std::string::npos);
+
+  // The count record prints is read off the recorder after the run; it
+  // must be the number of windows the trace really holds.
+  int printed = -1;
+  ASSERT_EQ(std::sscanf(record.out.c_str(), "recorded %d LB windows",
+                        &printed),
+            1)
+      << record.out;
+  std::ifstream trace{path};
+  EXPECT_GT(printed, 0);
+  EXPECT_EQ(static_cast<std::size_t>(printed), read_stats(trace).size());
 }
 
 TEST(CliTest, ReplayMissingFileFails) {
@@ -319,6 +333,13 @@ struct CoreOverflow {
   int cores;
   const char* chares;
 };
+
+// Without this gtest names each case by the struct's raw bytes, which hold
+// ASLR-randomised string pointers and uninitialised padding, so the test
+// name changed from one discovery run to the next.
+void PrintTo(const CoreOverflow& c, std::ostream* os) {
+  *os << c.app << " --cores=" << c.cores << " (" << c.chares << " chares)";
+}
 
 class CliCoreOverflowTest : public ::testing::TestWithParam<CoreOverflow> {};
 

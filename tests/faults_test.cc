@@ -329,8 +329,16 @@ LbStats stats_with_background(double bg) {
   return stats;
 }
 
+/// The background-load pipeline with only its outlier-clamp stage on.
+BackgroundLoadEstimator clamp_pipeline(int window, double clamp_factor) {
+  LbRobustnessOptions options;
+  options.estimator_window = window;
+  options.estimator_clamp_factor = clamp_factor;
+  return BackgroundLoadEstimator{options};
+}
+
 TEST(WindowedEstimatorTest, OneWindowSpikeIsClamped) {
-  WindowedBackgroundEstimator est{5, 4.0};
+  BackgroundLoadEstimator est = clamp_pipeline(5, 4.0);
   for (int i = 0; i < 4; ++i)
     EXPECT_NEAR(est.estimate(stats_with_background(0.5))[0], 0.5, 1e-9);
   ASSERT_EQ(est.clamped_count(), 0);
@@ -342,7 +350,7 @@ TEST(WindowedEstimatorTest, OneWindowSpikeIsClamped) {
 }
 
 TEST(WindowedEstimatorTest, SustainedShiftPassesWithinHalfAWindow) {
-  WindowedBackgroundEstimator est{5, 4.0};
+  BackgroundLoadEstimator est = clamp_pipeline(5, 4.0);
   for (int i = 0; i < 5; ++i) est.estimate(stats_with_background(0.5));
   // Raw values (not clamped ones) enter the history, so a genuine
   // sustained rise shifts the median and unlatches the clamp once a
@@ -354,7 +362,7 @@ TEST(WindowedEstimatorTest, SustainedShiftPassesWithinHalfAWindow) {
 }
 
 TEST(WindowedEstimatorTest, PeCountChangeResetsHistory) {
-  WindowedBackgroundEstimator est{5, 4.0};
+  BackgroundLoadEstimator est = clamp_pipeline(5, 4.0);
   for (int i = 0; i < 5; ++i) est.estimate(stats_with_background(0.5));
   LbStats two = stats_with_background(8.0);
   two.pes.push_back(two.pes[0]);

@@ -55,6 +55,14 @@ std::unique_ptr<ForecastingEstimator> make_mode(EstimatorMode mode) {
   return make_forecasting_estimator(mode_options(mode));
 }
 
+/// The background-load pipeline with only its outlier-clamp stage on.
+BackgroundLoadEstimator clamp_pipeline(int window, double clamp_factor) {
+  LbRobustnessOptions options;
+  options.estimator_window = window;
+  options.estimator_clamp_factor = clamp_factor;
+  return BackgroundLoadEstimator{options};
+}
+
 // ----------------------------------------------- median_of (bug pin)
 
 TEST(MedianTest, OddSampleReturnsMiddleElement) {
@@ -74,7 +82,7 @@ TEST(MedianTest, EvenWindowClampCeilingIsUnbiased) {
   // Window of 4 at {0.2, 0.4, 0.6, 0.8}: the unbiased median is 0.5, so
   // a 2x clamp must cap at 1.0 + slack — not the 1.2 + slack the
   // upper-middle bias produced.
-  WindowedBackgroundEstimator est{4, 2.0};
+  BackgroundLoadEstimator est = clamp_pipeline(4, 2.0);
   for (double bg : {0.2, 0.4, 0.6, 0.8}) est.estimate(one_pe_stats(bg));
   const double clamped = est.estimate(one_pe_stats(8.0))[0];
   EXPECT_EQ(est.clamped_count(), 1);
@@ -84,7 +92,7 @@ TEST(MedianTest, EvenWindowClampCeilingIsUnbiased) {
 // ------------------------------------- windowed clamp across a reset
 
 TEST(WindowedEstimatorTest, ClampedCounterSurvivesTopologyReset) {
-  WindowedBackgroundEstimator est{3, 2.0};
+  BackgroundLoadEstimator est = clamp_pipeline(3, 2.0);
   for (int i = 0; i < 3; ++i) est.estimate(one_pe_stats(0.5));
   est.estimate(one_pe_stats(7.0));
   ASSERT_EQ(est.clamped_count(), 1);
@@ -101,7 +109,7 @@ TEST(WindowedEstimatorTest, ClampedCounterSurvivesTopologyReset) {
 }
 
 TEST(WindowedEstimatorTest, StaleMediansDoNotSurviveShrinkingTopology) {
-  WindowedBackgroundEstimator est{3, 2.0};
+  BackgroundLoadEstimator est = clamp_pipeline(3, 2.0);
   // Build a low median on two PEs, then shrink to one PE running hot:
   // the old PE-0 median (0.5) must not clamp the new level.
   for (int i = 0; i < 3; ++i) est.estimate(n_pe_stats(2, 0.5));
@@ -245,7 +253,7 @@ TEST(ForecasterTest, BandWidensOnANoisySeries) {
 // ------------------------------------------- the composed front-end
 
 TEST(ProactiveEstimatorTest, PersistDefaultIsBitIdenticalToRawEq2) {
-  ProactiveBackgroundEstimator estimator{LbRobustnessOptions{}};
+  BackgroundLoadEstimator estimator{LbRobustnessOptions{}};
   for (double bg : {0.5, 3.0, 7.5, 0.0}) {
     const LbStats stats = one_pe_stats(bg);
     // Bitwise equality, not NEAR: the default path must be the paper's
@@ -261,8 +269,8 @@ TEST(ProactiveEstimatorTest, ClampRunsBeforeTheForecast) {
   LbRobustnessOptions clamped = mode_options(EstimatorMode::kTrend);
   clamped.estimator_window = 3;
   LbRobustnessOptions raw = mode_options(EstimatorMode::kTrend);
-  ProactiveBackgroundEstimator with_clamp{clamped};
-  ProactiveBackgroundEstimator without_clamp{raw};
+  BackgroundLoadEstimator with_clamp{clamped};
+  BackgroundLoadEstimator without_clamp{raw};
 
   for (int i = 0; i < 4; ++i) {
     with_clamp.estimate(one_pe_stats(0.5));
@@ -281,7 +289,7 @@ TEST(ProactiveEstimatorTest, ClampRunsBeforeTheForecast) {
 
 TEST(ProactiveEstimatorTest, PredictionsStayInsideTheWindow) {
   LbRobustnessOptions options = mode_options(EstimatorMode::kTrend);
-  ProactiveBackgroundEstimator estimator{options};
+  BackgroundLoadEstimator estimator{options};
   // A ramp steep enough that the linear extrapolation exceeds T_lb.
   std::vector<double> out;
   for (int i = 0; i < 12; ++i)
@@ -293,7 +301,7 @@ TEST(ProactiveEstimatorTest, PredictionsStayInsideTheWindow) {
 
 TEST(ProactiveEstimatorTest, MispredictsAreCountedAgainstTheBand) {
   LbRobustnessOptions options = mode_options(EstimatorMode::kEwma);
-  ProactiveBackgroundEstimator estimator{options};
+  BackgroundLoadEstimator estimator{options};
   for (int i = 0; i < 6; ++i) estimator.estimate(one_pe_stats(1.0));
   EXPECT_EQ(estimator.mispredicted_windows(), 0);
   EXPECT_FALSE(estimator.last_window_mispredicted());

@@ -328,6 +328,29 @@ class TinyWorker final : public Chare {
   int iter_ = 0;
 };
 
+TEST(ShardedHostTest, BlockPartitionIsMonotoneAndBalanced) {
+  // Nodes map to shards in contiguous near-equal blocks (node n -> n·S/N).
+  MachineConfig mc;
+  mc.nodes = 8;
+  mc.cores_per_node = 1;
+  ShardedRuntimeHost::Config hc;
+  hc.shards = 3;
+  ShardedRuntimeHost host{mc, hc};
+  std::vector<int> counts(3, 0);
+  int prev = 0;
+  for (int node = 0; node < 8; ++node) {
+    const int s = host.shard_of_node(node);
+    ASSERT_GE(s, prev);  // contiguous blocks
+    ASSERT_LT(s, 3);
+    prev = s;
+    ++counts[static_cast<std::size_t>(s)];
+  }
+  EXPECT_EQ(counts[0] + counts[1] + counts[2], 8);
+  for (const int c : counts) EXPECT_GE(c, 2);
+  EXPECT_EQ(host.shard_of_node(0), host.shard_of_node(1));
+  EXPECT_NE(host.shard_of_node(0), host.shard_of_node(7));
+}
+
 TEST(ShardedHostTest, InWindowCascadesRecoverByRewind) {
   // 1 µs tasks against a 60 µs window: every LB wave completes in-window
   // and must be recovered exactly (counted via the host's rewind counter).
