@@ -11,7 +11,8 @@
 # grids give the same bytes for any --jobs value), so any difference is a
 # behaviour change. The list covers `penalty` for every app × balancer,
 # alone and against 8 bursty tenants, plus the estimator stages on the
-# tenant runs; `sweep`, `timeline`, `record` + `replay`; the four paper
+# tenant runs; `penalty` on the partitioned runtime (--shards=4), with and
+# without a fault plan; `sweep`, `timeline`, `record` + `replay`; the four paper
 # figures; and the strategy, forecast, fault, multi-tenant and
 # migration-cost ablations.
 #
@@ -61,6 +62,16 @@ for app in jacobi2d wave2d mol3d; do
       --estimator=trend --estimator-window=5
   done
 done
+
+# The partitioned runtime (4 shards over 8 quad-core nodes). Each of these
+# files must equal the same command with --shards=1 byte for byte.
+for app in jacobi2d wave2d mol3d; do
+  run "penalty_${app}_cores32_shards4" \
+    "$cli" penalty --app="$app" --cores=32 --shards=4 --jobs="$jobs"
+done
+run penalty_jacobi2d_cores32_shards4_spike \
+  "$cli" penalty --app=jacobi2d --cores=32 --shards=4 --jobs="$jobs" \
+  --faults="spike(core=2,start=0.5,duration=1);seed(value=7)"
 
 run sweep "$cli" sweep --jobs="$jobs"
 run timeline "$cli" timeline --app=jacobi2d --balancer=ia-refine --cores=4

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke run of the performance benchmark (perfbench/): builds it from the
-# current sources and runs every workload for one second, plus paper32
+# current sources and runs every workload for one second, untraced and
 # with per-layer tracing. Fails unless each run's last line reports
 # "correct": true, i.e. the benchmark still builds against the simulator's
 # API and its output checks (task conservation, pass-to-pass bit identity,
@@ -28,4 +28,10 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
 for workload in paper32 cloud128 scale1k_sharded; do
   run --workload "${workload}" --trace 0
 done
-run --workload paper32 --trace 1
+# Traced runs rebuild every scenario from the public constructors and must
+# reproduce run_scenario bit for bit on both engines: the legacy engine
+# with a tenant field (cloud128) and the partitioned runtime
+# (scale1k_sharded).
+for workload in paper32 cloud128 scale1k_sharded; do
+  run --workload "${workload}" --trace 1
+done

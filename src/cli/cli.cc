@@ -55,7 +55,9 @@ commands:
                                             canonical global order;
                                             results are bit-identical to
                                             --shards=1 = the legacy
-                                            single-engine path; see
+                                            single-engine path; across
+                                            nodes, no --tenants and no
+                                            timeline; see
                                             docs/sharded-engine.md)
              --jobs=N                      (run shard windows on N worker
                                             threads when --shards > 1;
@@ -102,9 +104,10 @@ commands:
 )usage";
 
 /// Rejects a core count the scenario cannot run, with an error that names
-/// the flag: the runtime maps at least one chare to every core, and the
-/// background job runs on cores inside the application's allocation.
-void check_cores(const ScenarioConfig& config, int cores) {
+/// the flags: the runtime maps at least one chare to every core, the
+/// background job runs on cores inside the application's allocation, and
+/// tenants need the single engine (not runs_partitioned).
+void check_cores(ScenarioConfig config, int cores) {
   CLB_CHECK_MSG(cores >= 1, "--cores must be at least 1; got " << cores);
   const int chares = app_chare_count(config.app);
   CLB_CHECK_MSG(cores <= chares,
@@ -114,6 +117,11 @@ void check_cores(const ScenarioConfig& config, int cores) {
   CLB_CHECK_MSG(!config.with_background || cores >= config.bg_cores,
                 "--cores=" << cores << " is below the " << config.bg_cores
                            << " cores the background job runs on");
+  config.app_cores = cores;
+  CLB_CHECK_MSG(config.tenants == 0 || !runs_partitioned(config),
+                "--tenants=" << config.tenants << " needs one engine; --shards="
+                             << config.shards << " partitions --cores="
+                             << cores << " (use --shards=1)");
 }
 
 ScenarioConfig config_from(Options& options,
@@ -272,6 +280,10 @@ int cmd_timeline(Options& options, std::ostream& out) {
   ScenarioConfig config = config_from(options);
   const int width = static_cast<int>(options.get_int("width", 100));
   options.check_unused();
+  CLB_CHECK_MSG(!runs_partitioned(config),
+                "timeline needs one engine; --shards=" << config.shards
+                    << " partitions --cores=" << config.app_cores
+                    << " (use --shards=1)");
 
   TimelineTracer tracer;
   const RunResult r = run_scenario(config, &tracer);

@@ -97,6 +97,13 @@ BackgroundLoadEstimator::BackgroundLoadEstimator(
   }
 }
 
+bool BackgroundLoadEstimator::rejects(const LbStats& stats) {
+  if (!options_.fallback_on_insane_stats || stats_sane(stats)) return false;
+  CLB_WARN("background estimator: insane stats snapshot; keeping the "
+           "last-good assignment (fallback #" << ++garbage_fallbacks_ << ")");
+  return true;
+}
+
 std::vector<double> BackgroundLoadEstimator::estimate(const LbStats& stats) {
   std::vector<double> o_p = estimate_background_load(stats);
   if (options_.estimator_window > 0) clamp_outliers(stats, o_p);

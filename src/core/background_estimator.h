@@ -37,7 +37,7 @@ double estimate_background_load(const PeSample& pe);
 bool pe_sample_sane(const PeSample& pe);
 
 /// True when every PE sample of the snapshot is sane — the gate
-/// InterferenceAwareRefineLb's garbage fallback keys on.
+/// BackgroundLoadEstimator::rejects keys on.
 bool stats_sane(const LbStats& stats);
 
 /// Tolerance for "a duration exceeds the wall window": an absolute floor
@@ -89,6 +89,14 @@ class BackgroundLoadEstimator {
   explicit BackgroundLoadEstimator(const LbRobustnessOptions& options,
                                    bool smooth = false);
 
+  /// The garbage fallback every balancer on this pipeline checks first:
+  /// true (and counted) when fallback_on_insane_stats is set and the
+  /// snapshot fails stats_sane. The balancer then keeps the current
+  /// assignment: holding costs at most one stale window, migrating on
+  /// corrupted counters can cost the whole run.
+  bool rejects(const LbStats& stats);
+  int garbage_fallbacks() const { return garbage_fallbacks_; }
+
   /// Per-PE background loads to balance against (shape of stats.pes).
   std::vector<double> estimate(const LbStats& stats);
 
@@ -117,6 +125,7 @@ class BackgroundLoadEstimator {
   void forecast(const LbStats& stats, std::vector<double>& o_p);
 
   LbRobustnessOptions options_;
+  int garbage_fallbacks_ = 0;
   // Stage 2: per-PE ring of raw estimates.
   std::vector<std::vector<double>> history_;
   std::vector<std::size_t> next_;

@@ -20,6 +20,7 @@ double max_pe_load(const LbStats& stats, const std::vector<double>& background,
 }  // namespace
 
 std::vector<PeId> MigrationGainGatedLb::assign(const LbStats& stats) {
+  if (estimator_.rejects(stats)) return stats.current_assignment();
   const std::vector<double> background = estimator_.estimate(stats);
   RefinementResult refined =
       refine_assignment(stats, background, make_refinement_options(options_.base));

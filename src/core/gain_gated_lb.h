@@ -39,8 +39,8 @@ struct GainGateOptions {
 /// Cost is the serialized bytes of every moved chare times an assumed
 /// per-byte migration cost. When gain < cost · threshold the step keeps
 /// the current mapping. O_p comes from the same BackgroundLoadEstimator
-/// pipeline ia-refine uses, so `base.robustness` (outlier clamp,
-/// forecasting mode) applies here too.
+/// pipeline ia-refine uses, so `base.robustness` (garbage fallback,
+/// outlier clamp, forecasting mode) applies here too.
 class MigrationGainGatedLb final : public LoadBalancer {
  public:
   explicit MigrationGainGatedLb(GainGateOptions options)

@@ -1,7 +1,6 @@
 #include "core/interference_aware_lb.h"
 
 #include "lb/refinement.h"
-#include "util/log.h"
 
 namespace cloudlb {
 
@@ -10,16 +9,7 @@ InterferenceAwareRefineLb::InterferenceAwareRefineLb(LbOptions options,
     : options_{options}, estimator_{options.robustness, smooth} {}
 
 std::vector<PeId> InterferenceAwareRefineLb::assign(const LbStats& stats) {
-  if (options_.robustness.fallback_on_insane_stats && !stats_sane(stats)) {
-    // Garbage in, nothing out: the current assignment is the last one a
-    // sane window produced, and holding it costs at most one stale window
-    // — migrating on corrupted counters can cost the whole run.
-    ++garbage_fallbacks_;
-    CLB_WARN("ia-refine: insane stats snapshot; keeping the last-good "
-             "assignment (fallback #"
-             << garbage_fallbacks_ << ")");
-    return stats.current_assignment();
-  }
+  if (estimator_.rejects(stats)) return stats.current_assignment();
   const std::vector<double> background = estimator_.estimate(stats);
   RefinementResult result =
       refine_assignment(stats, background, make_refinement_options(options_));

@@ -48,7 +48,7 @@ class InterferenceAwareRefineLb final : public LoadBalancer {
   int total_migrations() const { return total_migrations_; }
 
   /// LB steps skipped because the stats failed the sanity test.
-  int garbage_fallbacks() const { return garbage_fallbacks_; }
+  int garbage_fallbacks() const { return estimator_.garbage_fallbacks(); }
 
   /// Windows whose forecast the next observation refuted (0 in persist
   /// mode — persistence never claims to predict).
@@ -64,7 +64,6 @@ class InterferenceAwareRefineLb final : public LoadBalancer {
   LbOptions options_;
   BackgroundLoadEstimator estimator_;
   int total_migrations_ = 0;
-  int garbage_fallbacks_ = 0;
   int mispredict_churn_ = 0;
 };
 

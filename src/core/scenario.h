@@ -27,15 +27,17 @@ struct ScenarioConfig {
   /// cores per node by default, like the testbed).
   MachineConfig machine;
 
-  /// Shard count for the partitioned runtime (docs/sharded-engine.md).
-  /// <= 1 — the default — takes the legacy single-engine path, bit-identical
-  /// to earlier releases. With N > 1 the cluster's nodes are block-
+  /// Shard count for the partitioned runtime (docs/sharded-engine.md),
+  /// used when runs_partitioned(): N > 1 on more than one node. Otherwise
+  /// the run takes the legacy single engine. The nodes are block-
   /// partitioned into min(N, nodes) shards, each with its own event engine
   /// and per-shard LB-database segment; compute phases run as conservative
   /// windows (width = the network's min_internode_delay) and collective
   /// phases (AtSync barriers, reductions, broadcasts) run serialized in
-  /// canonical global order. Results are bit-identical to the legacy
-  /// engine for every shard count (pinned by tests/sharded_runtime_test.cc).
+  /// canonical global order. Both engines share one set-up sequence and
+  /// give bit-identical results for every shard count (pinned by
+  /// tests/sharded_runtime_test.cc); only the single engine takes a
+  /// timeline tracer or tenants.
   int shards = 1;
 
   /// Worker-team size for parallel shard windows. <= 1 runs windows
@@ -88,6 +90,10 @@ struct RunResult {
   RuntimeJob::Counters app_counters;
   int lb_migrations = 0;  ///< convenience copy of app_counters.migrations
 };
+
+/// Whether `config` runs on the partitioned runtime: shards > 1 on more
+/// than one node. Such a run takes no tracer and no tenants.
+bool runs_partitioned(const ScenarioConfig& config);
 
 /// Runs one experiment to completion (both jobs). If `tracer` is given it
 /// observes both jobs, enabling Figure-1/3-style timelines.

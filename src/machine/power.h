@@ -35,12 +35,11 @@ class PowerMeter {
   PowerMeter(Simulator& sim, Machine& machine, PowerModelConfig config = {},
              SimTime sample_interval = SimTime::seconds(1));
 
-  /// Tickless meter for the sharded runtime: no engine to hang the 1 Hz
-  /// sample chain on (there are N of them), so there is no sampled series
-  /// — only the exact energy integral between start_at and stop_at, read
-  /// through Core::proc_stat_at at explicit global instants. The sampled
-  /// series was always a convergent approximation of that integral; the
-  /// headline numbers never depended on it.
+  /// Tickless meter, what scenario runs use on either engine: no sample
+  /// chain, so no sampled series — only the exact energy integral between
+  /// start_at and stop_at, read through Core::proc_stat_at at explicit
+  /// instants. The sampled series was always a convergent approximation
+  /// of that integral; the headline numbers never depended on it.
   PowerMeter(Machine& machine, PowerModelConfig config = {});
 
   /// Begins metering at the current simulation time.
@@ -49,10 +48,10 @@ class PowerMeter {
   /// Ends metering; freezes energy and the sample series. Idempotent.
   void stop();
 
-  /// Tickless begin/end at an explicit global instant (sharded runtime
-  /// only; requires the tickless constructor). `t` must satisfy the
-  /// proc_stat_at contract on every core's engine — the sharded host's
-  /// global phases guarantee it.
+  /// Tickless begin/end at an explicit global instant (requires the
+  /// tickless constructor). `t` must satisfy the proc_stat_at contract on
+  /// every core's engine — the sharded host's global phases guarantee it,
+  /// and on one engine the current instant always does.
   void start_at(SimTime t);
   void stop_at(SimTime t);
 
@@ -78,7 +77,7 @@ class PowerMeter {
   double total_busy_seconds_at(SimTime t) const;
   void on_sample_tick();
 
-  EngineCore* sim_;  ///< null in tickless (sharded) mode
+  EngineCore* sim_;  ///< null in tickless mode
   Machine& machine_;
   PowerModelConfig config_;
   SimTime interval_;

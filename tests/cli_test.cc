@@ -189,6 +189,53 @@ TEST(CliTest, PenaltyShardsOutputMatchesLegacy) {
   }
 }
 
+// Tenant fields and timeline tracing need the single engine. A
+// partitioned run (--shards > 1 over more than one node) that asks for
+// either must fail before any simulation, with an error naming the flags.
+void expect_partitioned_rejection(const CliResult& r,
+                                  const std::vector<const char*>& flags) {
+  EXPECT_EQ(r.code, 1);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  for (const char* flag : flags)
+    EXPECT_NE(r.err.find(flag), std::string::npos) << flag << ": " << r.err;
+}
+
+TEST(CliTest, PartitionedTenantsFailAtParse) {
+  expect_partitioned_rejection(
+      cli({"penalty", "--app=jacobi2d", "--cores=16", "--iterations=20",
+           "--bg-iterations=40", "--shards=4", "--tenants=8"}),
+      {"--tenants=8", "--shards=4", "--cores=16"});
+}
+
+TEST(CliTest, SweepChecksEveryCoresCellForPartitionedTenants) {
+  // --cores=4 is one quad-core node (not partitioned); 16 is four.
+  expect_partitioned_rejection(
+      cli({"sweep", "--app=jacobi2d", "--cores=4,16", "--iterations=20",
+           "--bg-iterations=40", "--shards=4", "--tenants=8"}),
+      {"--tenants=8", "--shards=4", "--cores=16"});
+}
+
+TEST(CliTest, PartitionedTimelineFailsAtParse) {
+  expect_partitioned_rejection(
+      cli({"timeline", "--app=jacobi2d", "--cores=8", "--iterations=16",
+           "--bg-iterations=30", "--shards=2"}),
+      {"timeline", "--shards=2", "--cores=8"});
+}
+
+TEST(CliTest, TimelineOnOneNodeIgnoresShards) {
+  // --shards clamps to the node count, so on one node the run stays on
+  // the single engine and traces as usual.
+  const std::vector<std::string> base = {
+      "timeline", "--app=jacobi2d", "--cores=4", "--iterations=16",
+      "--bg-iterations=30", "--width=60"};
+  std::vector<std::string> sharded = base;
+  sharded.emplace_back("--shards=4");
+  const CliResult legacy = cli(base);
+  const CliResult r = cli(sharded);
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out, legacy.out);
+}
+
 TEST(CliTest, TimelineRenders) {
   const CliResult r = cli({"timeline", "--app=wave2d", "--cores=4",
                            "--iterations=16", "--bg-iterations=30",

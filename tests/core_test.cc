@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -275,6 +277,27 @@ TEST(GainGatedLbTest, OutlierClampHoldsMappingThroughAGlitch) {
   EXPECT_EQ(raw.migrating_steps(), 1);
 }
 
+TEST(GainGatedLbTest, InsaneStatsFallBackWhenAsked) {
+  // The same garbage fallback as ia-refine: with the option on, a
+  // snapshot that fails stats_sane keeps the mapping even though its
+  // (finite, bogus) background reading would otherwise command a move.
+  const std::vector<double> cpu{2.0, 2.0, 2.0, 2.0};
+  const std::vector<PeId> assign{0, 0, 1, 1};
+  LbStats garbage = make_stats(2, cpu, assign, 10.0, {8.0, 0.0});
+  garbage.pes[0].core_idle_sec = -1.0;  // a failed counter read
+  ASSERT_FALSE(stats_sane(garbage));
+
+  MigrationGainGatedLb vanilla;
+  EXPECT_NE(vanilla.assign(garbage), assign);
+
+  GainGateOptions options;
+  options.base.robustness.fallback_on_insane_stats = true;
+  MigrationGainGatedLb guarded{options};
+  EXPECT_EQ(guarded.assign(garbage), assign);
+  EXPECT_EQ(guarded.migrating_steps(), 0);
+  EXPECT_EQ(guarded.gated_steps(), 0);
+}
+
 // ------------------------------------------ ia-refine-ewma (the preset)
 
 /// The ia-refine-ewma preset as make_balancer builds it, with the EWMA
@@ -509,6 +532,46 @@ TEST(ScenarioTest, DeterministicAcrossRuns) {
   EXPECT_EQ(*a.bg_elapsed, *b.bg_elapsed);
   EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
   EXPECT_EQ(a.lb_migrations, b.lb_migrations);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// Pin the power meter's exact output on each engine, with a late BG
+// start. The sharded-vs-legacy tier compares the two engines only with
+// each other, so a metering change that moved both would pass it; these
+// bits would not.
+TEST(ScenarioTest, EnergyMatchesPinnedBitsOnLegacyEngine) {
+  ScenarioConfig config = small_config("ia-refine");
+  config.bg_start = SimTime::millis(300);
+  ASSERT_FALSE(runs_partitioned(config));
+  const RunResult r = run_scenario(config);
+  EXPECT_EQ(bits_of(r.energy_joules), 0x40820cc5d99a3aaaull);
+  EXPECT_EQ(bits_of(r.avg_power_watts), 0x406446e49933cdd6ull);
+}
+
+TEST(ScenarioTest, EnergyMatchesPinnedBitsOnPartitionedRuntime) {
+  ScenarioConfig config = small_config("ia-refine");
+  config.bg_start = SimTime::millis(300);
+  config.app_cores = 16;
+  config.shards = 4;
+  ASSERT_TRUE(runs_partitioned(config));
+  const RunResult r = run_scenario(config);
+  EXPECT_EQ(bits_of(r.energy_joules), 0x407c8c8900a393eeull);
+  EXPECT_EQ(bits_of(r.avg_power_watts), 0x40831b672954b850ull);
+}
+
+TEST(ScenarioTest, PartitionedNeedsMoreThanOneNode) {
+  ScenarioConfig config = small_config("null");
+  config.shards = 4;
+  EXPECT_FALSE(runs_partitioned(config));  // 4 cores: one quad-core node
+  config.app_cores = 8;
+  EXPECT_TRUE(runs_partitioned(config));
+  config.shards = 1;
+  EXPECT_FALSE(runs_partitioned(config));
 }
 
 // The borrowing overload must be bit-identical to the owning one, and —
