@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -117,11 +118,43 @@ void check_cores(ScenarioConfig config, int cores) {
   CLB_CHECK_MSG(!config.with_background || cores >= config.bg_cores,
                 "--cores=" << cores << " is below the " << config.bg_cores
                            << " cores the background job runs on");
+  // Fault specs name cores by index; one outside the allocation would be
+  // wrapped onto another core (fault_injector.cc), silently changing the
+  // run, so it is rejected here instead.
+  if (!config.faults.empty()) {
+    const FaultPlan plan = FaultPlan::parse(config.faults);
+    const auto check_core = [cores](const char* kind, int core) {
+      CLB_CHECK_MSG(core < cores, "--faults: " << kind << "(core=" << core
+                                               << ") is outside --cores="
+                                               << cores << " (cores 0.."
+                                               << cores - 1 << ")");
+    };
+    for (const SpikeFaultSpec& f : plan.spikes) check_core("spike", f.core);
+    for (const SquareWaveFaultSpec& f : plan.squares)
+      check_core("square", f.core);
+  }
   config.app_cores = cores;
   CLB_CHECK_MSG(config.tenants == 0 || !runs_partitioned(config),
                 "--tenants=" << config.tenants << " needs one engine; --shards="
                              << config.shards << " partitions --cores="
                              << cores << " (use --shards=1)");
+}
+
+/// The LB tolerance band: a finite, non-negative fraction of T_avg.
+double epsilon_from(Options& options) {
+  const double epsilon = options.get_double("epsilon", 0.05);
+  CLB_CHECK_MSG(std::isfinite(epsilon) && epsilon >= 0.0,
+                "--epsilon must be a finite fraction >= 0; got " << epsilon);
+  return epsilon;
+}
+
+/// Worker threads: N >= 1, or 0 for all hardware threads.
+int jobs_from(Options& options) {
+  const auto jobs = static_cast<int>(options.get_int("jobs", 1));
+  CLB_CHECK_MSG(jobs >= 0, "--jobs must be at least 1 (or 0 for all "
+                           "hardware threads); got "
+                               << jobs);
+  return jobs == 0 ? hardware_jobs() : jobs;
 }
 
 ScenarioConfig config_from(Options& options,
@@ -130,15 +163,26 @@ ScenarioConfig config_from(Options& options,
   config.app.name = options.get_string("app", "jacobi2d");
   config.app.iterations =
       static_cast<int>(options.get_int("iterations", 60));
+  // The app factory reads iterations <= 0 as "unset" and would silently
+  // run its built-in count instead.
+  CLB_CHECK_MSG(config.app.iterations >= 1,
+                "--iterations must be at least 1; got "
+                    << config.app.iterations);
   if (scalar_cores_and_balancer) {
     config.app_cores = static_cast<int>(options.get_int("cores", 8));
     config.balancer = options.get_string("balancer", "ia-refine");
   }
   config.lb_period = static_cast<int>(options.get_int("lb-period", 5));
-  config.lb_options.epsilon_fraction = options.get_double("epsilon", 0.05);
+  config.lb_options.epsilon_fraction = epsilon_from(options);
   config.bg_iterations =
       static_cast<int>(options.get_int("bg-iterations", 150));
+  CLB_CHECK_MSG(config.bg_iterations >= 1,
+                "--bg-iterations must be at least 1; got "
+                    << config.bg_iterations);
   config.bg_weight = options.get_double("bg-weight", 1.0);
+  CLB_CHECK_MSG(std::isfinite(config.bg_weight) && config.bg_weight > 0.0,
+                "--bg-weight must be a finite weight > 0; got "
+                    << config.bg_weight);
   config.tenants = static_cast<int>(options.get_int("tenants", 0));
   if (config.tenants > 0)
     config.with_background = options.get_bool("with-bg", false);
@@ -198,9 +242,7 @@ int cmd_penalty(Options& options, std::ostream& out) {
   ScenarioConfig config = config_from(options);
   // --jobs here sizes the shard worker team (sweep reuses the flag for
   // grid cells); windows merge canonically, so output is N-independent.
-  int jobs = static_cast<int>(options.get_int("jobs", 1));
-  if (jobs <= 0) jobs = hardware_jobs();
-  config.shard_workers = jobs;
+  config.shard_workers = jobs_from(options);
   const bool csv = options.get_bool("csv", false);
   options.check_unused();
   const PenaltyResult r = run_penalty_experiment(config);
@@ -243,8 +285,7 @@ int cmd_sweep(Options& options, std::ostream& out) {
     }
   }
   const bool csv = options.get_bool("csv", false);
-  int jobs = static_cast<int>(options.get_int("jobs", 1));
-  if (jobs <= 0) jobs = hardware_jobs();
+  const int jobs = jobs_from(options);
   options.check_unused();
 
   // Each grid cell runs an independent pair of scenarios whose RNGs are
@@ -328,7 +369,7 @@ int cmd_replay(Options& options, std::ostream& out) {
   const std::string balancer_name =
       options.get_string("balancer", "ia-refine");
   LbOptions lb_options;
-  lb_options.epsilon_fraction = options.get_double("epsilon", 0.05);
+  lb_options.epsilon_fraction = epsilon_from(options);
   const bool csv = options.get_bool("csv", false);
   options.check_unused();
 

@@ -41,7 +41,7 @@ const std::string& Core::context_name(ContextId ctx) const {
 }
 
 void Core::demand(ContextId ctx, SimTime cpu_time,
-                  EngineCore::Callback on_complete) {
+                  EngineCore::Callback&& on_complete) {
   CLB_CHECK(ctx >= 0 && static_cast<std::size_t>(ctx) < contexts_.size());
   CLB_CHECK(!cpu_time.is_negative());
   CLB_CHECK(on_complete != nullptr);

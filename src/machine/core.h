@@ -66,7 +66,7 @@ class Core {
   /// context's request slot and later moved into the completion event, so
   /// a capture within EngineCore::kInlineCallbackBytes never allocates.
   void demand(ContextId ctx, SimTime cpu_time,
-              EngineCore::Callback on_complete);
+              EngineCore::Callback&& on_complete);
 
   /// Whether `ctx` currently has an unfinished demand.
   bool has_demand(ContextId ctx) const;

@@ -27,19 +27,4 @@ Machine::Machine(MachineConfig config,
   }
 }
 
-Core& Machine::core(CoreId id) {
-  CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
-  return *cores_[static_cast<std::size_t>(id)];
-}
-
-const Core& Machine::core(CoreId id) const {
-  CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
-  return *cores_[static_cast<std::size_t>(id)];
-}
-
-int Machine::node_of(CoreId id) const {
-  CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
-  return id / config_.cores_per_node;
-}
-
 }  // namespace cloudlb

@@ -6,6 +6,7 @@
 
 #include "machine/core.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 
 namespace cloudlb {
 
@@ -42,11 +43,20 @@ class Machine {
   int num_cores() const { return config_.nodes * config_.cores_per_node; }
   const MachineConfig& config() const { return config_; }
 
-  Core& core(CoreId id);
-  const Core& core(CoreId id) const;
+  Core& core(CoreId id) {
+    CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
+    return *cores_[static_cast<std::size_t>(id)];
+  }
+  const Core& core(CoreId id) const {
+    CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
+    return *cores_[static_cast<std::size_t>(id)];
+  }
 
   /// Node hosting a global core id.
-  int node_of(CoreId id) const;
+  int node_of(CoreId id) const {
+    CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
+    return id / config_.cores_per_node;
+  }
 
   /// True when both cores sit on the same node (intra-node communication).
   bool same_node(CoreId a, CoreId b) const {

@@ -130,12 +130,6 @@ SimTime RuntimeJob::finish_time() const {
 
 SimTime RuntimeJob::elapsed() const { return finish_time() - start_time_; }
 
-PeId RuntimeJob::pe_of(ChareId chare) const {
-  CLB_CHECK(chare >= 0 && static_cast<std::size_t>(chare) < chares_.size());
-  CLB_CHECK_MSG(started_, "mapping exists only after start()");
-  return assignment_[static_cast<std::size_t>(chare)];
-}
-
 Chare& RuntimeJob::chare(ChareId id) {
   CLB_CHECK(id >= 0 && static_cast<std::size_t>(id) < chares_.size());
   return *chares_[static_cast<std::size_t>(id)];
@@ -189,7 +183,7 @@ void RuntimeJob::send(ChareId from, ChareId to, int tag,
 }
 
 void RuntimeJob::route_to(PeId from_pe, PeId to_pe, SimTime base,
-                          SimTime delay, EngineCore::Callback cb) {
+                          SimTime delay, EngineCore::Callback&& cb) {
   if (!sharded()) {
     sim_->schedule_after(delay, std::move(cb));
     return;
@@ -238,7 +232,7 @@ SimTime RuntimeJob::sampled_idle_at(PeId pe, SimTime t) const {
   return SimTime::nanos(idle.ns() / q.ns() * q.ns());  // floor to a jiffy
 }
 
-void RuntimeJob::deliver(Message msg) {
+void RuntimeJob::deliver(Message&& msg) {
   // Route by the *current* mapping: migrations happen only at barriers,
   // when no application messages are in flight, so this never misroutes.
   const PeId pe = pe_of(msg.dest);

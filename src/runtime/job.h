@@ -16,6 +16,7 @@
 #include "runtime/network.h"
 #include "runtime/observer.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/shard_annotations.h"
 #include "vm/virtual_machine.h"
 
@@ -142,7 +143,11 @@ class RuntimeJob {
   [[nodiscard]] bool sharded() const { return host_ != nullptr; }
   VirtualMachine& vm() { return vm_; }
 
-  [[nodiscard]] PeId pe_of(ChareId chare) const;
+  [[nodiscard]] PeId pe_of(ChareId chare) const {
+    CLB_CHECK(chare >= 0 && static_cast<std::size_t>(chare) < chares_.size());
+    CLB_CHECK_MSG(started_, "mapping exists only after start()");
+    return assignment_[static_cast<std::size_t>(chare)];
+  }
   [[nodiscard]] CoreId core_of_pe(PeId pe) const { return vm_.core_of(pe); }
   Chare& chare(ChareId id);
 
@@ -264,9 +269,9 @@ class RuntimeJob {
   /// `to_pe`'s engine. Legacy mode preserves the exact pre-sharding call
   /// sequence.
   CLB_SHARD_CONFINED void route_to(PeId from_pe, PeId to_pe, SimTime base,
-                                   SimTime delay, EngineCore::Callback cb);
+                                   SimTime delay, EngineCore::Callback&& cb);
 
-  CLB_SHARD_CONFINED void deliver(Message msg);
+  CLB_SHARD_CONFINED void deliver(Message&& msg);
   [[nodiscard]] SimTime sampled_idle_at(PeId pe, SimTime t) const;
   /// Total delay for `bytes` from src to dst core at time `now`,
   /// including NIC egress queueing when the network model enables it.

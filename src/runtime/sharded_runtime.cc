@@ -50,7 +50,7 @@ int ShardedRuntimeHost::shard_of_core(CoreId core) const {
 }
 
 void ShardedRuntimeHost::post(int src_shard, int dst_shard, SimTime latency,
-                              EngineCore::Callback cb) {
+                              EngineCore::Callback&& cb) {
   sharded_.post(src_shard, dst_shard, latency, std::move(cb));
 }
 

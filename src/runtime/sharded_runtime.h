@@ -93,7 +93,7 @@ class ShardedRuntimeHost {
   /// ShardedSimulator::post): delivery latency must be >= the window
   /// width when src != dst.
   CLB_SHARD_CONFINED void post(int src_shard, int dst_shard, SimTime latency,
-                               EngineCore::Callback cb);
+                               EngineCore::Callback&& cb);
 
   /// Runs `fn` at global time `t` from the driving thread, ordered
   /// *before* any simulation event at the same instant (matching the

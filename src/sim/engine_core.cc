@@ -7,15 +7,65 @@
 namespace cloudlb {
 
 void EngineCore::compact_queue() {
-  std::erase_if(queue_, [this](const QueueEntry& e) {
+  const auto stale = [this](const QueueEntry& e) {
     return slots_[e.slot].gen != e.gen;
-  });
+  };
+  std::erase_if(queue_, stale);
   // Re-establish the 4-ary heap: sift down every internal node, deepest
   // first (the classic Floyd build, just with fan-out 4).
   if (queue_.size() > 1)
     for (std::size_t i = (queue_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
+  // The lane only loses entries, so what remains stays sorted.
+  lane_.erase(lane_.begin(),
+              lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+  lane_head_ = 0;
+  std::erase_if(lane_, stale);
   stale_ = 0;
   if (validation_enabled()) validate_integrity();
+}
+
+void EngineCore::reject_schedule(SimTime t, SimTime stamp) const {
+  CLB_CHECK_MSG(t >= now_, "event scheduled in the past: t="
+                               << t.to_string()
+                               << " now=" << now_.to_string());
+  CLB_CHECK_MSG(stamp <= t, "send stamp after delivery: stamp="
+                                << stamp.to_string()
+                                << " t=" << t.to_string());
+}
+
+void EngineCore::recover_late_event(SimTime due) {
+  if (clock_policy_ == ClockFaultPolicy::kStrict) {
+    CLB_CHECK_MSG(due >= now_, "event due at " << due.to_string()
+                                               << " fired behind the clock ("
+                                               << now_.to_string() << ")");
+  }
+  ++clock_recoveries_;
+}
+
+void EngineCore::check_fire_order(const QueueEntry& entry) {
+  // The heap contract: events fire in strictly increasing
+  // (time, stamp, rank, seq) order — the determinism fingerprint every
+  // golden digest depends on. Holds for any clock policy, since faults
+  // perturb the clock, never the queue order.
+  const bool monotone =
+      last_fired_time_ < entry.time ||
+      (last_fired_time_ == entry.time &&
+       (last_fired_stamp_ < entry.stamp ||
+        (last_fired_stamp_ == entry.stamp &&
+         (last_fired_rank_ < entry.rank ||
+          (last_fired_rank_ == entry.rank && last_fired_seq_ < entry.seq)))));
+  CLB_CHECK_MSG(monotone,
+                "trace sequence not monotone: ("
+                    << entry.time.to_string() << ", stamp "
+                    << entry.stamp.to_string() << ", rank " << entry.rank
+                    << ", seq " << entry.seq << ") fired after ("
+                    << last_fired_time_.to_string() << ", stamp "
+                    << last_fired_stamp_.to_string() << ", rank "
+                    << last_fired_rank_ << ", seq " << last_fired_seq_ << ")");
+  last_fired_time_ = entry.time;
+  last_fired_stamp_ = entry.stamp;
+  last_fired_rank_ = entry.rank;
+  last_fired_seq_ = entry.seq;
 }
 
 void EngineCore::validate_integrity() const {
@@ -26,6 +76,13 @@ void EngineCore::validate_integrity() const {
                   "heap property violated at entry " << i << " (parent "
                                                      << parent << ")");
   }
+
+  // Lane order: strictly ascending keys, so the lane head is always the
+  // lane's minimum and merging it with the heap head keeps global order.
+  for (std::size_t i = lane_head_ + 1; i < lane_.size(); ++i)
+    CLB_CHECK_MSG(lane_[i] > lane_[i - 1],
+                  "same-instant lane out of order at entry "
+                      << i - lane_head_);
 
   // Free-list shape: every link in range, no cycles, callbacks cleared.
   std::vector<char> on_free_list(slots_.size(), 0);
@@ -49,11 +106,11 @@ void EngineCore::validate_integrity() const {
   // other entry is stale, and stale_ must account for all of them.
   std::vector<char> seen_live(slots_.size(), 0);
   std::size_t live_entries = 0;
-  for (const QueueEntry& e : queue_) {
+  const auto audit = [&](const QueueEntry& e) {
     CLB_CHECK_MSG(e.slot < slots_.size(),
                   "queue entry references slot " << e.slot
                                                  << " out of range");
-    if (slots_[e.slot].gen != e.gen) continue;  // stale, skipped lazily
+    if (slots_[e.slot].gen != e.gen) return;  // stale, skipped lazily
     CLB_CHECK_MSG(!on_free_list[e.slot],
                   "live queue entry references freed slot " << e.slot);
     CLB_CHECK_MSG(slots_[e.slot].cb != nullptr,
@@ -62,12 +119,14 @@ void EngineCore::validate_integrity() const {
                   "slot " << e.slot << " referenced by two live entries");
     seen_live[e.slot] = 1;
     ++live_entries;
-  }
+  };
+  for (const QueueEntry& e : queue_) audit(e);
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) audit(lane_[i]);
   CLB_CHECK_MSG(live_entries == live_,
                 "live-entry count " << live_entries
                                     << " disagrees with live_ " << live_);
-  CLB_CHECK_MSG(queue_.size() - live_entries == stale_,
-                "stale accounting broken: " << queue_.size() - live_entries
+  CLB_CHECK_MSG(queue_size() - live_entries == stale_,
+                "stale accounting broken: " << queue_size() - live_entries
                                             << " stale entries, counter "
                                             << stale_);
 }
@@ -90,14 +149,9 @@ void EngineCore::run_until(SimTime t) {
     ++clock_recoveries_;
     t = now_;
   }
-  while (!queue_.empty()) {
-    // Skip stale (cancelled) heads without advancing the clock.
-    const QueueEntry entry = queue_.front();
-    if (slots_[entry.slot].gen != entry.gen) {
-      drop_stale_head();
-      continue;
-    }
-    if (entry.time > t) break;
+  // live_head() skips stale (cancelled) heads without advancing the clock.
+  for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
+       head = live_head()) {
     // The head is live and due, so step() must execute it.
     CLB_CHECK(step());
   }
@@ -108,9 +162,8 @@ void EngineCore::run_until(SimTime t) {
   // change can never move now() past an unexecuted pending event. Under
   // kRecover the stragglers are executed (late, clamped to the clock)
   // instead of aborting the run.
-  while (!queue_.empty() && slots_[queue_.front().slot].gen ==
-                                queue_.front().gen &&
-         queue_.front().time <= t) {
+  for (const QueueEntry* head = live_head(); head != nullptr && head->time <= t;
+       head = live_head()) {
     CLB_CHECK_MSG(clock_policy_ == ClockFaultPolicy::kRecover,
                   "run_until would advance the clock past a pending event");
     CLB_CHECK(step());

@@ -32,12 +32,13 @@ class EventHandle {
 };
 
 /// The event-engine mechanism: a slot-arena of callbacks addressed by a
-/// 4-ary min-heap of (time, seq) entries, with lazy cancellation and
-/// stale-entry compaction. One EngineCore is one shard's worth of pending
-/// events — `Simulator` wraps exactly one as the single-threaded engine,
-/// and `ShardedSimulator` owns N of them advanced in conservative time
-/// windows (docs/sharded-engine.md). The core itself is single-threaded:
-/// all cross-thread coordination lives in the owner.
+/// 4-ary min-heap of (time, seq) entries plus a same-instant FIFO lane,
+/// with lazy cancellation and stale-entry compaction. One EngineCore is
+/// one shard's worth of pending events — `Simulator` wraps exactly one as
+/// the single-threaded engine, and `ShardedSimulator` owns N of them
+/// advanced in conservative time windows (docs/sharded-engine.md). The
+/// core itself is single-threaded: all cross-thread coordination lives in
+/// the owner.
 ///
 /// Engine layout (see docs/event-engine.md): callbacks live in a free-list
 /// slot arena addressed directly by the heap entries, so the steady-state
@@ -45,7 +46,12 @@ class EventHandle {
 /// fit the Callback inline buffer — no heap allocation at all. The pending
 /// queue is a 4-ary min-heap: half the depth of a binary heap, and the
 /// four children of a node share a cache line, which is worth ~25% on the
-/// schedule→fire cycle at evaluation-grid queue sizes.
+/// schedule→fire cycle at evaluation-grid queue sizes. Events scheduled
+/// for the current instant (zero-delay completion deliveries, about a
+/// third of all events in a processor-sharing run) skip the heap: they
+/// append to a FIFO lane that stays sorted by the full key, and step()
+/// fires whichever of the two heads orders first. The firing order is
+/// exactly the heap-only order.
 class EngineCore {
  public:
   /// What to do when the clock-consistency invariant is violated — an
@@ -97,7 +103,12 @@ class EngineCore {
   /// pending entries and arena capacity for `slots` callback cells, so
   /// the growth reallocations of a large scenario's setup burst (100k+
   /// PEs schedule one event per entity up front) leave the warm path.
-  /// Never shrinks; purely a capacity hint, invisible to the trace.
+  /// The same-instant lane is left to grow: it reaches its size in a
+  /// run's first burst (one event per chare at start) and keeps it.
+  /// Presizing it raised peak RSS on every benchmark workload tried: by
+  /// up to 16% on the 1024-core one from `events`, and by 18% on cloud128
+  /// with a fixed 1024 entries. Never shrinks; purely a capacity hint,
+  /// invisible to the trace.
   void reserve(std::size_t events, std::size_t slots) {
     queue_.reserve(events);
     slots_.reserve(slots);
@@ -110,7 +121,11 @@ class EngineCore {
   /// orders identically to a plain (time, seq) heap. The stamp exists for
   /// the sharded runtime, where events reach one engine from several
   /// clocks: see schedule_at_stamped.
-  CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback cb) {
+  ///
+  /// Every schedule_* takes the callback by rvalue reference: a lambda
+  /// converts to one Callback at the call site, which moves once, into
+  /// its arena slot.
+  CLB_WARM_PATH EventHandle schedule_at(SimTime t, Callback&& cb) {
     return schedule_at_ranked(t, now_, current_rank_, std::move(cb));
   }
 
@@ -127,7 +142,7 @@ class EngineCore {
   /// The event inherits the executing event's rank (see
   /// schedule_at_ranked).
   CLB_WARM_PATH EventHandle schedule_at_stamped(SimTime t, SimTime stamp,
-                                                Callback cb) {
+                                                Callback&& cb) {
     return schedule_at_ranked(t, stamp, current_rank_, std::move(cb));
   }
 
@@ -144,20 +159,25 @@ class EngineCore {
   /// both tie across shards. The legacy path never assigns a rank, so
   /// every entry carries 0 there and ordering degenerates to the
   /// historical (time, stamp, seq).
+  ///
+  /// An event due now() whose key sorts after the lane's tail appends to
+  /// the same-instant lane; every other event goes into the heap. The
+  /// lane therefore stays sorted even when stamps or ranks differ.
   CLB_WARM_PATH EventHandle schedule_at_ranked(SimTime t, SimTime stamp,
                                                std::uint64_t rank,
-                                               Callback cb) {
-    CLB_CHECK_MSG(t >= now_, "event scheduled in the past: t="
-                                 << t.to_string()
-                                 << " now=" << now_.to_string());
-    CLB_CHECK_MSG(stamp <= t, "send stamp after delivery: stamp="
-                                  << stamp.to_string()
-                                  << " t=" << t.to_string());
+                                               Callback&& cb) {
+    if (t < now_ || stamp > t) [[unlikely]]
+      reject_schedule(t, stamp);
     CLB_CHECK(cb != nullptr);
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     s.cb = std::move(cb);
-    push_entry(QueueEntry{t, stamp, rank, next_seq_++, slot, s.gen});
+    const QueueEntry e{t, stamp, rank, next_seq_++, slot, s.gen};
+    if (t == now_ && (lane_empty() || e > lane_.back())) {
+      push_lane(e);
+    } else {
+      push_entry(e);
+    }
     ++live_;
     return EventHandle{slot, s.gen};
   }
@@ -176,7 +196,7 @@ class EngineCore {
   void set_current_rank(std::uint64_t rank) { current_rank_ = rank; }
 
   /// Schedules `cb` at now() + delay (delay must be >= 0).
-  CLB_WARM_PATH EventHandle schedule_after(SimTime delay, Callback cb) {
+  CLB_WARM_PATH EventHandle schedule_after(SimTime delay, Callback&& cb) {
     CLB_CHECK(!delay.is_negative());
     return schedule_at(now_ + delay, std::move(cb));
   }
@@ -194,70 +214,35 @@ class EngineCore {
     // schedule/cancel cycles (re-armed periodic timers) would then grow the
     // queue without bound: compact once stale entries outnumber live ones.
     ++stale_;
-    if (queue_.size() > kCompactionFloor && stale_ * 2 > queue_.size())
-      compact_queue();
+    const std::size_t entries = queue_size();
+    if (entries > kCompactionFloor && stale_ * 2 > entries) compact_queue();
     return true;
   }
 
   /// Executes the next pending event. Returns false if none remain.
   [[nodiscard]] CLB_WARM_PATH bool step() {
-    while (!queue_.empty()) {
-      const QueueEntry entry = queue_.front();
+    while (!queue_.empty() || !lane_empty()) {
+      const bool from_lane = lane_first();
+      const QueueEntry entry = from_lane ? lane_[lane_head_] : queue_.front();
+      pop_head(from_lane);
       if (slots_[entry.slot].gen != entry.gen) {  // cancelled
-        drop_stale_head();
+        retire_stale();
         continue;
       }
-      pop_entry();
       // Move the callback out and release the slot *before* invoking: the
       // callback may itself schedule (possibly into this very slot, at a
       // fresh generation) or cancel events, and scheduling may grow the
       // slot vector, so the callable must not run from arena storage.
       Callback cb = std::move(slots_[entry.slot].cb);
       release_slot(entry.slot);
-      if (entry.time < now_) {
-        // A live event behind the clock: only possible when timestamps
-        // were perturbed (fault_advance_clock) or the engine is broken.
-        // Strict mode fails loudly in every build type; recover mode runs
-        // the event late, at the current clock, so time never regresses.
-        if (clock_policy_ == ClockFaultPolicy::kStrict) {
-          CLB_CHECK_MSG(entry.time >= now_,
-                        "event due at " << entry.time.to_string()
-                                        << " fired behind the clock ("
-                                        << now_.to_string() << ")");
-        }
-        ++clock_recoveries_;
+      if (entry.time < now_) [[unlikely]] {
+        recover_late_event(entry.time);
       } else {
         now_ = entry.time;
       }
       ++executed_;
       last_event_time_ = now_;
-      if (validation_enabled()) {
-        // The heap contract: events fire in strictly increasing
-        // (time, stamp, rank, seq) order — the determinism fingerprint
-        // every golden digest depends on. Holds for any clock policy,
-        // since faults perturb the clock, never the queue order.
-        const bool monotone =
-            last_fired_time_ < entry.time ||
-            (last_fired_time_ == entry.time &&
-             (last_fired_stamp_ < entry.stamp ||
-              (last_fired_stamp_ == entry.stamp &&
-               (last_fired_rank_ < entry.rank ||
-                (last_fired_rank_ == entry.rank &&
-                 last_fired_seq_ < entry.seq)))));
-        CLB_CHECK_MSG(monotone,
-                      "trace sequence not monotone: ("
-                          << entry.time.to_string() << ", stamp "
-                          << entry.stamp.to_string() << ", rank " << entry.rank
-                          << ", seq " << entry.seq << ") fired after ("
-                          << last_fired_time_.to_string() << ", stamp "
-                          << last_fired_stamp_.to_string() << ", rank "
-                          << last_fired_rank_ << ", seq " << last_fired_seq_
-                          << ")");
-        last_fired_time_ = entry.time;
-        last_fired_stamp_ = entry.stamp;
-        last_fired_rank_ = entry.rank;
-        last_fired_seq_ = entry.seq;
-      }
+      if (validation_enabled()) check_fire_order(entry);
       if (trace_) trace_(entry.time, entry.seq);
       current_rank_ = entry.rank;
       cb();
@@ -321,24 +306,24 @@ class EngineCore {
   }
 
   /// Timestamp of the earliest live (non-cancelled) pending event, or
-  /// nullopt when none remain. Sheds stale heads off the heap as a side
-  /// effect (bookkeeping only; the trace is untouched).
+  /// nullopt when none remain. Sheds stale heads off the heap and the lane
+  /// as a side effect (bookkeeping only; the trace is untouched).
   [[nodiscard]] std::optional<SimTime> next_live_time() {
-    while (!queue_.empty()) {
-      const QueueEntry& head = queue_.front();
-      if (slots_[head.slot].gen == head.gen) return head.time;
-      drop_stale_head();
-    }
-    return std::nullopt;
+    const QueueEntry* head = live_head();
+    if (head == nullptr) return std::nullopt;
+    return head->time;
   }
 
   /// Number of events scheduled but not yet fired or cancelled.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Heap entries currently held, including stale (cancelled) ones waiting
-  /// to be skipped or compacted away. Bounded at < 2·pending() + a small
-  /// floor even under adversarial schedule/cancel churn.
-  [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
+  /// Heap and lane entries currently held, including stale (cancelled)
+  /// ones waiting to be skipped or compacted away. Bounded at
+  /// < 2·pending() + a small floor even under adversarial schedule/cancel
+  /// churn.
+  [[nodiscard]] std::size_t queue_size() const {
+    return queue_.size() + (lane_.size() - lane_head_);
+  }
 
   /// Callback slots allocated (monitoring; slots are recycled, so this
   /// tracks the high-water mark of concurrently pending events).
@@ -355,9 +340,11 @@ class EngineCore {
 
   /// Deep structural audit of the engine (validation_enabled() gates the
   /// automatic call sites; calling it directly is always allowed): 4-ary
-  /// heap property over the pending queue, slot-arena free-list shape
+  /// heap property over the pending queue, strictly ascending keys along
+  /// the same-instant lane, slot-arena free-list shape
   /// (in-range, acyclic, callbacks cleared), generation consistency
-  /// between queue entries and slots, and the live/stale accounting.
+  /// between queue and lane entries and slots, and the live/stale
+  /// accounting.
   /// Throws CheckFailure on the first violated invariant.
   void validate_integrity() const;
 
@@ -416,15 +403,63 @@ class EngineCore {
     if (queue_.size() > 1) sift_down(0);
   }
 
-  /// Pops the stale head entry and retires it from the stale ledger.
-  /// Every stale entry was counted by exactly one cancel(), so finding
-  /// the ledger at zero here means the accounting drifted — an engine
-  /// bug. That used to be clamped away (`if (stale_ > 0)`), which let an
-  /// undercount ride silently until compaction resynced it; now it is an
-  /// integrity failure in every build type, same as validate_integrity()
-  /// would report.
-  CLB_WARM_PATH void drop_stale_head() {
-    pop_entry();
+  // --- Same-instant lane: entries [lane_head_, lane_.size()) of lane_, in
+  // strictly ascending key order. Consumed entries are reclaimed when the
+  // lane drains (every instant ends with it empty) or, within one long
+  // same-instant cascade, once they make up half the vector, so the lane
+  // never spans more than about twice the entries it holds.
+
+  static constexpr std::size_t kLaneReclaimFloor = 64;
+
+  [[nodiscard]] bool lane_empty() const { return lane_head_ == lane_.size(); }
+
+  CLB_WARM_PATH void push_lane(const QueueEntry& e) {
+    if (lane_head_ >= kLaneReclaimFloor && lane_head_ * 2 >= lane_.size()) {
+      lane_.erase(lane_.begin(),
+                  lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+      lane_head_ = 0;
+    }
+    lane_.push_back(e);
+  }
+
+  /// Whether the next entry to fire is the lane head rather than the heap
+  /// head. At least one of the two must be non-empty.
+  [[nodiscard]] bool lane_first() const {
+    return !lane_empty() &&
+           (queue_.empty() || queue_.front() > lane_[lane_head_]);
+  }
+
+  /// Removes the next entry: the lane head if `from_lane`, else the heap's.
+  CLB_WARM_PATH void pop_head(bool from_lane) {
+    if (!from_lane) {
+      pop_entry();
+    } else if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+  }
+
+  /// The entry that fires next — the smaller-keyed of the heap head and
+  /// the lane head — after shedding stale heads off both; nullptr when
+  /// nothing live is pending.
+  const QueueEntry* live_head() {
+    while (!queue_.empty() || !lane_empty()) {
+      const bool from_lane = lane_first();
+      const QueueEntry& head = from_lane ? lane_[lane_head_] : queue_.front();
+      if (slots_[head.slot].gen == head.gen) return &head;
+      pop_head(from_lane);
+      retire_stale();
+    }
+    return nullptr;
+  }
+
+  /// Retires a just-popped stale entry from the stale ledger. Every stale
+  /// entry was counted by exactly one cancel(), so finding the ledger at
+  /// zero here means the accounting drifted — an engine bug. That used to
+  /// be clamped away (`if (stale_ > 0)`), which let an undercount ride
+  /// silently until compaction resynced it; now it is an integrity failure
+  /// in every build type, same as validate_integrity() would report.
+  CLB_WARM_PATH void retire_stale() {
     CLB_CHECK_MSG(stale_ > 0,
                   "stale-entry ledger underflow: skipping a cancelled head "
                   "with stale_ == 0 (accounting drifted)");
@@ -449,6 +484,23 @@ class EngineCore {
   }
 
   CLB_WARM_PATH void compact_queue();
+
+  // Out of line, so the failure messages they build stay out of the
+  // schedule→fire loop's code.
+
+  /// Throws for a schedule_* call whose time is behind the clock or whose
+  /// stamp is after its time.
+  void reject_schedule(SimTime t, SimTime stamp) const;
+
+  /// A live event due behind the clock: only possible when timestamps
+  /// were perturbed (fault_advance_clock) or the engine is broken. Strict
+  /// mode fails loudly in every build type; recover mode counts it, and
+  /// step() runs it late, at the current clock, so time never regresses.
+  void recover_late_event(SimTime due);
+
+  /// Validation: events fire in strictly increasing (time, stamp, rank,
+  /// seq) order.
+  void check_fire_order(const QueueEntry& entry);
 
   CLB_WARM_PATH std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
@@ -483,7 +535,9 @@ class EngineCore {
   ClockFaultPolicy clock_policy_ = ClockFaultPolicy::kStrict;
   std::uint64_t clock_recoveries_ = 0;
   std::vector<QueueEntry> queue_;
-  std::size_t stale_ = 0;  ///< cancelled entries still sitting in queue_
+  std::vector<QueueEntry> lane_;  ///< same-instant FIFO lane
+  std::size_t lane_head_ = 0;     ///< first unconsumed lane entry
+  std::size_t stale_ = 0;  ///< cancelled entries still in queue_ or lane_
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;

@@ -44,7 +44,7 @@ void ShardedSimulator::check_shard_access(int shard, const char* what) const {
 }
 
 ShardEventHandle ShardedSimulator::schedule_at(int shard, SimTime t,
-                                               Callback cb) {
+                                               Callback&& cb) {
   check_shard_access(shard, "schedule_at on");
   return ShardEventHandle{
       states_[static_cast<std::size_t>(shard)]->engine.schedule_at(
@@ -53,7 +53,7 @@ ShardEventHandle ShardedSimulator::schedule_at(int shard, SimTime t,
 }
 
 ShardEventHandle ShardedSimulator::schedule_after(int shard, SimTime delay,
-                                                  Callback cb) {
+                                                  Callback&& cb) {
   check_shard_access(shard, "schedule_after on");
   return ShardEventHandle{
       states_[static_cast<std::size_t>(shard)]->engine.schedule_after(
@@ -68,7 +68,8 @@ bool ShardedSimulator::cancel(const ShardEventHandle& h) {
       h.inner_);
 }
 
-void ShardedSimulator::post(int src, int dst, SimTime latency, Callback cb) {
+void ShardedSimulator::post(int src, int dst, SimTime latency,
+                            Callback&& cb) {
   check_shard_access(src, "post from");
   CLB_CHECK_MSG(dst >= 0 && dst < shards(),
                 "post to shard out of range: " << dst);

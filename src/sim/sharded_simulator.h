@@ -129,11 +129,11 @@ class ShardedSimulator {
   /// Schedules `cb` on `shard` at absolute time `t`. During a window only
   /// the shard's owning worker may call this (shared-nothing contract).
   CLB_SHARD_CONFINED ShardEventHandle schedule_at(int shard, SimTime t,
-                                                  Callback cb);
+                                                  Callback&& cb);
 
   /// Schedules `cb` on `shard` at that shard's now() + delay.
   CLB_SHARD_CONFINED ShardEventHandle schedule_after(int shard, SimTime delay,
-                                                     Callback cb);
+                                                     Callback&& cb);
 
   /// Cancels a pending event on its owning shard. During a window the
   /// caller must own that shard: presenting another shard's handle is the
@@ -146,7 +146,8 @@ class ShardedSimulator {
   /// conservative-window safety condition — and buffer into the src
   /// mailbox until the next barrier; a post to the own shard (src == dst)
   /// schedules directly with no latency floor, like same-node traffic.
-  CLB_SHARD_CONFINED void post(int src, int dst, SimTime latency, Callback cb);
+  CLB_SHARD_CONFINED void post(int src, int dst, SimTime latency,
+                               Callback&& cb);
 
   /// Presize hints forwarded to every shard (EngineCore::reserve).
   CLB_BARRIER_PHASE void reserve(std::size_t events_per_shard,

@@ -59,7 +59,7 @@ class SmallFunction<R(Args...), InlineBytes> {
   CLB_WARM_PATH SmallFunction(SmallFunction&& other) noexcept
       : ops_{other.ops_} {
     if (ops_ != nullptr) {
-      ops_->relocate(other.buffer_, buffer_);
+      relocate_from(other);
       other.ops_ = nullptr;
     }
   }
@@ -69,7 +69,7 @@ class SmallFunction<R(Args...), InlineBytes> {
       reset();
       ops_ = other.ops_;
       if (ops_ != nullptr) {
-        ops_->relocate(other.buffer_, buffer_);
+        relocate_from(other);
         other.ops_ = nullptr;
       }
     }
@@ -89,7 +89,7 @@ class SmallFunction<R(Args...), InlineBytes> {
   /// Destroys the held callable, if any.
   CLB_WARM_PATH void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buffer_);
+      if (ops_->destroy != nullptr) ops_->destroy(buffer_);
       ops_ = nullptr;
     }
   }
@@ -117,6 +117,10 @@ class SmallFunction<R(Args...), InlineBytes> {
   }
 
  private:
+  /// `relocate` and `destroy` are null for a trivially copyable inline
+  /// callable (a capture of pointers and scalars, like the core's
+  /// completion closure): its bytes move with one fixed-size memcpy and
+  /// nothing needs destroying, so a move makes no indirect call.
   struct Ops {
     R (*invoke)(void* self, Args&&... args);
     void (*relocate)(void* from, void* to) noexcept;  ///< move to, destroy from
@@ -128,6 +132,19 @@ class SmallFunction<R(Args...), InlineBytes> {
   static constexpr bool kFitsInline =
       sizeof(D) <= InlineBytes && alignof(D) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<D>;
+
+  template <typename D>
+  static constexpr bool kTrivialInline =
+      kFitsInline<D> && std::is_trivially_copyable_v<D>;
+
+  /// Takes over `other`'s callable; ops_ already equals other.ops_.
+  CLB_WARM_PATH void relocate_from(SmallFunction& other) noexcept {
+    if (ops_->relocate == nullptr) {
+      std::memcpy(buffer_, other.buffer_, InlineBytes);
+    } else {
+      ops_->relocate(other.buffer_, buffer_);
+    }
+  }
 
   template <typename D>
   struct InlineModel {
@@ -143,7 +160,9 @@ class SmallFunction<R(Args...), InlineBytes> {
       f->~D();
     }
     static void destroy(void* s) noexcept { self(s)->~D(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy, true};
+    static constexpr Ops ops = kTrivialInline<D>
+                                   ? Ops{&invoke, nullptr, nullptr, true}
+                                   : Ops{&invoke, &relocate, &destroy, true};
   };
 
   template <typename D>

@@ -1,14 +1,11 @@
 #include "util/validate.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
-namespace cloudlb {
+namespace cloudlb::detail {
 
-namespace {
-
-bool initial_state() {
+bool initial_validation_state() {
 #ifdef CLOUDLB_VALIDATE
   bool enabled = true;
 #else
@@ -21,19 +18,4 @@ bool initial_state() {
   return enabled;
 }
 
-std::atomic<bool>& state() {
-  static std::atomic<bool> enabled{initial_state()};
-  return enabled;
-}
-
-}  // namespace
-
-bool validation_enabled() {
-  return state().load(std::memory_order_relaxed);
-}
-
-bool set_validation_enabled(bool enabled) {
-  return state().exchange(enabled, std::memory_order_relaxed);
-}
-
-}  // namespace cloudlb
+}  // namespace cloudlb::detail

@@ -1,6 +1,18 @@
 #pragma once
 
+#include <atomic>
+
 namespace cloudlb {
+
+namespace detail {
+/// The compiled default, overridden by the environment (validate.cc).
+bool initial_validation_state();
+
+inline std::atomic<bool>& validation_flag() {
+  static std::atomic<bool> enabled{initial_validation_state()};
+  return enabled;
+}
+}  // namespace detail
 
 /// Deep structural invariant validation (see docs/static-analysis.md §4).
 ///
@@ -14,10 +26,16 @@ namespace cloudlb {
 /// the CLOUDLB_VALIDATE macro) defaults it on, and the CLOUDLB_VALIDATE
 /// environment variable ("0"/"1") overrides the compiled default at
 /// process start. ScenarioConfig::validate scopes it to a single run.
-bool validation_enabled();
+/// Inline: the event engine asks once per fired event.
+inline bool validation_enabled() {
+  return detail::validation_flag().load(std::memory_order_relaxed);
+}
 
 /// Toggles validation process-wide; returns the previous value.
-bool set_validation_enabled(bool enabled);
+inline bool set_validation_enabled(bool enabled) {
+  return detail::validation_flag().exchange(enabled,
+                                            std::memory_order_relaxed);
+}
 
 /// RAII scope: enables (or disables) validation for its lifetime and
 /// restores the previous setting on destruction.

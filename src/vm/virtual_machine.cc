@@ -17,19 +17,6 @@ VirtualMachine::VirtualMachine(Machine& machine, std::string name,
   }
 }
 
-const VirtualMachine::VCpu& VirtualMachine::vcpu(int v) const {
-  CLB_CHECK(v >= 0 && static_cast<std::size_t>(v) < vcpus_.size());
-  return vcpus_[static_cast<std::size_t>(v)];
-}
-
-CoreId VirtualMachine::core_of(int v) const { return vcpu(v).core; }
-
-void VirtualMachine::demand(int v, SimTime cpu_time,
-                            EngineCore::Callback on_complete) {
-  const VCpu& vc = vcpu(v);
-  machine_.core(vc.core).demand(vc.ctx, cpu_time, std::move(on_complete));
-}
-
 bool VirtualMachine::has_demand(int v) const {
   const VCpu& vc = vcpu(v);
   return machine_.core(vc.core).has_demand(vc.ctx);

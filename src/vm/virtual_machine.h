@@ -1,9 +1,11 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "machine/machine.h"
+#include "util/check.h"
 
 namespace cloudlb {
 
@@ -27,10 +29,13 @@ class VirtualMachine {
   const Machine& machine() const { return machine_; }
 
   /// Physical core backing vCPU `v`.
-  CoreId core_of(int vcpu) const;
+  CoreId core_of(int v) const { return vcpu(v).core; }
 
   /// Requests CPU consumption on a vCPU (see Core::demand).
-  void demand(int vcpu, SimTime cpu_time, EngineCore::Callback on_complete);
+  void demand(int v, SimTime cpu_time, EngineCore::Callback&& on_complete) {
+    const VCpu& vc = vcpu(v);
+    machine_.core(vc.core).demand(vc.ctx, cpu_time, std::move(on_complete));
+  }
 
   bool has_demand(int vcpu) const;
 
@@ -58,7 +63,10 @@ class VirtualMachine {
     ContextId ctx;
   };
 
-  const VCpu& vcpu(int v) const;
+  const VCpu& vcpu(int v) const {
+    CLB_CHECK(v >= 0 && static_cast<std::size_t>(v) < vcpus_.size());
+    return vcpus_[static_cast<std::size_t>(v)];
+  }
 
   Machine& machine_;
   std::string name_;

@@ -129,13 +129,15 @@ TEST(AmpiTest, FifoPerSourceAndTag) {
       for (int i = 0; i < 5; ++i) self.send(1, 1, {static_cast<double>(i)});
       self.done();
     } else {
-      std::shared_ptr<std::function<void()>> loop =
-          std::make_shared<std::function<void()>>();
-      *loop = [&self, &seen, loop] {
-        self.recv(0, 1, [&self, &seen, loop](std::vector<double> d) {
+      // The loop holds itself only weakly; each pending recv keeps it
+      // alive, so the chain frees itself once the last recv has run.
+      auto loop = std::make_shared<std::function<void()>>();
+      *loop = [&self, &seen, weak = std::weak_ptr{loop}] {
+        self.recv(0, 1, [&self, &seen,
+                         again = weak.lock()](std::vector<double> d) {
           seen.push_back(d[0]);
           if (seen.size() < 5) {
-            (*loop)();
+            (*again)();
           } else {
             self.done();
           }
@@ -253,8 +255,10 @@ TEST(AmpiTest, RingStencilMatchesSerialReference) {
     const int left = (self.rank() + kRanks - 1) % kRanks;
     const int right = (self.rank() + 1) % kRanks;
 
+    // Weak self-reference: the pending receives keep the step alive.
     auto step = std::make_shared<std::function<void()>>();
-    *step = [&self, st, left, right, step, &finals] {
+    *step = [&self, st, left, right, weak = std::weak_ptr{step}, &finals] {
+      auto again = weak.lock();
       if (st->iter == kIters) {
         finals[static_cast<std::size_t>(self.rank())] = st->x;
         self.done();
@@ -264,12 +268,13 @@ TEST(AmpiTest, RingStencilMatchesSerialReference) {
       const int tag = st->iter % 2;
       self.send(left, tag, {st->x});
       self.send(right, tag, {st->x});
-      self.recv(left, tag, [&self, st, right, tag, step](std::vector<double> lv) {
-        self.recv(right, tag, [&self, st, lv, step](std::vector<double> rv) {
-          self.compute(SimTime::micros(200), [st, lv, rv, step] {
+      self.recv(left, tag, [&self, st, right, tag,
+                            again](std::vector<double> lv) {
+        self.recv(right, tag, [&self, st, lv, again](std::vector<double> rv) {
+          self.compute(SimTime::micros(200), [st, lv, rv, again] {
             st->x = (lv[0] + st->x + rv[0]) / 3.0;
             ++st->iter;
-            (*step)();
+            (*again)();
           });
         });
       });
@@ -290,18 +295,20 @@ TEST(AmpiTest, SyncAllowsMigrationUnderInterference) {
     SyntheticInterferer hog{rig.sim, rig.machine, {0}};
     ampi::populate_ranks(*rig.job, 16, [&](Rank& self) {
       auto iter = std::make_shared<int>(0);
+      // Weak self-reference: the pending compute or sync keeps it alive.
       auto step = std::make_shared<std::function<void()>>();
-      *step = [&self, iter, step] {
+      *step = [&self, iter, weak = std::weak_ptr{step}] {
+        auto again = weak.lock();
         if (*iter == 24) {
           self.done();
           return;
         }
-        self.compute(SimTime::millis(10), [&self, iter, step] {
+        self.compute(SimTime::millis(10), [&self, iter, again] {
           ++*iter;
           if (*iter % 4 == 0 && *iter < 24) {
-            self.sync([step] { (*step)(); });
+            self.sync([again] { (*again)(); });
           } else {
-            (*step)();
+            (*again)();
           }
         });
       };

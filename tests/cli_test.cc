@@ -435,5 +435,73 @@ TEST(CliTest, CoresBelowBackgroundJobFailsAtParse) {
       << zero.err;
 }
 
+// Inputs the runs used to take silently or reject late with an internal
+// message: each now fails at parse time, before any simulation, with an
+// error naming the flag.
+
+TEST(CliTest, ZeroIterationsFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=4", "--iterations=0"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--iterations must be at least 1; got 0"),
+            std::string::npos)
+      << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(CliTest, NegativeIterationsFailsAtParse) {
+  const CliResult r = cli({"sweep", "--cores=4", "--iterations=-5"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--iterations must be at least 1; got -5"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliTest, ZeroBackgroundWeightFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=4", "--bg-weight=0"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--bg-weight must be a finite weight > 0"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("core.cc"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, NanEpsilonFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=4", "--epsilon=nan"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--epsilon must be a finite fraction >= 0"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("refinement.cc"), std::string::npos) << r.err;
+}
+
+TEST(CliTest, FaultCoreOutsideCoresFailsAtParse) {
+  const CliResult r =
+      cli({"penalty", "--cores=8",
+           "--faults=spike(core=99,start=0.1,duration=0.5)"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("spike(core=99) is outside --cores=8"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliTest, ZeroBackgroundIterationsFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=4", "--bg-iterations=0"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--bg-iterations must be at least 1; got 0"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(CliTest, NegativeJobsFailsAtParse) {
+  const CliResult r = cli({"penalty", "--cores=4", "--jobs=-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--jobs must be at least 1"), std::string::npos)
+      << r.err;
+  const CliResult sweep = cli({"sweep", "--cores=4", "--jobs=-2"});
+  EXPECT_EQ(sweep.code, 1);
+  EXPECT_NE(sweep.err.find("--jobs must be at least 1"), std::string::npos)
+      << sweep.err;
+}
+
 }  // namespace
 }  // namespace cloudlb

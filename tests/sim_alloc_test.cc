@@ -178,6 +178,65 @@ TEST(SimAllocTest, OverBudgetCaptureFallsBackToHeap) {
   sim.run();
 }
 
+TEST(SimAllocTest, WarmLaneIsAllocationFree) {
+  // Same-instant bursts — a fan-out of zero-delay events, each delivering
+  // once more at the same instant — run entirely through the lane. The
+  // lane is not presized by reserve(): it grows in the first burst and
+  // every later burst of that size reuses it without allocating.
+  Simulator sim;
+  sim.reserve(kBatch, kBatch);
+  std::uint64_t fired = 0;
+  const auto burst = [&] {
+    for (int i = 0; i < kBatch / 2; ++i) {
+      sim.schedule_after(SimTime::zero(), [&sim, &fired] {
+        ++fired;
+        sim.schedule_after(SimTime::zero(), [&fired] { ++fired; });
+      });
+    }
+    while (sim.step()) {
+    }
+  };
+  burst();  // grows the lane
+  probe_arm();
+  for (int round = 0; round < 50; ++round) burst();
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 51u * kBatch);
+}
+
+TEST(SimAllocTest, FatCaptureMovesThroughDemandWithoutAllocating) {
+  // The move-only path: a 56-byte completion closure (the size of the
+  // runtime's message-delivery capture) is handed to VirtualMachine::demand
+  // by rvalue, parked in the core's request slot and moved into the
+  // zero-delay completion event. One unmeasured demand sizes the core's
+  // active set and completion scratch.
+  struct Payload {
+    std::uint64_t words[6];  // 48 bytes + the 8-byte sink reference = 56
+  };
+  Simulator sim;
+  sim.reserve(kBatch, kBatch);
+  Machine machine{sim, MachineConfig{.nodes = 1,
+                                     .cores_per_node = 1,
+                                     .core_speed_overrides = {}}};
+  VirtualMachine vm{machine, "app", {0}};
+
+  std::uint64_t sink = 0;
+  vm.demand(0, SimTime::micros(1), [] {});
+  while (sim.step()) {
+  }
+  probe_arm();
+  for (std::uint64_t i = 0; i < kBatch; ++i) {
+    Payload p{};
+    p.words[0] = i;
+    vm.demand(0, SimTime::micros(1), [&sink, p] { sink += p.words[0]; });
+    while (sim.step()) {
+    }
+  }
+  const std::size_t allocs = probe_disarm();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(sink, static_cast<std::uint64_t>(kBatch) * (kBatch - 1) / 2);
+}
+
 TEST(SimAllocTest, WorkerTeamRoundsAreAllocationFree) {
   // Regression pin for the run_round signature change: the per-window
   // worker closure is borrowed through a FunctionRef, never type-erased

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <tuple>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "util/check.h"
+#include "util/rng.h"
+#include "util/validate.h"
 
 namespace cloudlb {
 namespace {
@@ -315,6 +321,229 @@ TEST(SimulatorTest, ManyEventsStressDeterministic) {
     return checksum;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Same-instant lane -----------------------------------------------------
+
+// The full ordering key of one scheduled event, as the engine assigns it:
+// seq counts schedule_* calls from 1.
+struct LaneKey {
+  SimTime time;
+  SimTime stamp;
+  std::uint64_t rank;
+  std::uint64_t seq;
+  bool operator<(const LaneKey& o) const {
+    return std::tie(time, stamp, rank, seq) <
+           std::tie(o.time, o.stamp, o.rank, o.seq);
+  }
+  bool operator==(const LaneKey& o) const {
+    return std::tie(time, stamp, rank, seq) ==
+           std::tie(o.time, o.stamp, o.rank, o.seq);
+  }
+};
+
+// Drives one engine through a seeded mix of same-instant, zero-delay,
+// future, stamped and ranked schedules, cancels and mid-callback rank
+// overrides. Every key is drawn at or after the key of the event that
+// schedules it (ranks only ever rise within a callback), so a correct
+// engine fires exactly the live keys in sorted order. Returns
+// {fired, reference}.
+std::pair<std::vector<LaneKey>, std::vector<LaneKey>> run_lane_mix(
+    std::uint64_t seed) {
+  Simulator sim;
+  Rng rng{seed};
+  std::vector<LaneKey> keys;  // index = seq - 1
+  std::vector<EventHandle> handles;
+  std::vector<bool> cancelled;
+  std::vector<LaneKey> fired;
+  LaneKey running{SimTime::zero(), SimTime::zero(), 0, 0};
+  std::size_t budget = 3000;
+
+  // Schedules one event keyed at or after `running` (the firing event's
+  // key, or the last fired key between drives).
+  bool in_callback = false;
+  std::function<void()> spawn;
+  const auto callback = [&](std::uint64_t seq) {
+    return [&, seq] {
+      const LaneKey me = keys[seq - 1];
+      in_callback = true;
+      EXPECT_EQ(sim.now(), me.time);
+      EXPECT_EQ(sim.current_rank(), me.rank);
+      fired.push_back(me);
+      running = me;
+      const auto children = rng.uniform_int(0, 3);
+      for (std::int64_t c = 0; c < children; ++c) {
+        if (rng.uniform_int(0, 5) == 0)
+          sim.set_current_rank(
+              sim.current_rank() +
+              static_cast<std::uint64_t>(rng.uniform_int(0, 3)));
+        spawn();
+      }
+      if (rng.uniform_int(0, 7) == 0 && !handles.empty()) {
+        const auto victim = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+        if (sim.cancel(handles[victim])) cancelled[victim] = true;
+      }
+      if (rng.uniform_int(0, 63) == 0) sim.validate_integrity();
+      in_callback = false;
+    };
+  };
+  spawn = [&] {
+    if (budget == 0) return;
+    --budget;
+    const SimTime now = sim.now();
+    const std::uint64_t seq = keys.size() + 1;
+    // Outside a callback the rank is 0, which may sort before the last
+    // fired key at this instant: such schedules go to a later instant.
+    const std::int64_t min_delay =
+        !in_callback && now == running.time ? 1 : 0;
+    const SimTime delay = rng.uniform_int(0, 2) == 0
+                              ? SimTime::nanos(min_delay)
+                              : SimTime::nanos(rng.uniform_int(min_delay, 3));
+    const SimTime t = now + delay;
+    // Same-instant keys must not sort before the running key.
+    const SimTime low = t == running.time ? running.stamp : SimTime::zero();
+    EventHandle h;
+    LaneKey key{t, now, sim.current_rank(), seq};
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        h = delay.is_zero() && rng.uniform_int(0, 1) == 0
+                ? sim.schedule_at(now, callback(seq))
+                : sim.schedule_after(delay, callback(seq));
+        break;
+      case 1:
+        key.stamp = SimTime::nanos(rng.uniform_int(low.ns(), now.ns()));
+        if (key.stamp == running.stamp && t == running.time &&
+            key.rank < running.rank)
+          key.stamp = now;
+        h = sim.schedule_at_stamped(t, key.stamp, callback(seq));
+        break;
+      default: {
+        key.stamp = SimTime::nanos(rng.uniform_int(low.ns(), now.ns()));
+        key.rank = static_cast<std::uint64_t>(rng.uniform_int(0, 7));
+        if (t == running.time && key.stamp == running.stamp &&
+            key.rank < running.rank)
+          key.rank = running.rank;
+        h = sim.schedule_at_ranked(t, key.stamp, key.rank, callback(seq));
+        break;
+      }
+    }
+    keys.push_back(key);
+    handles.push_back(h);
+    cancelled.push_back(false);
+  };
+
+  for (int i = 0; i < 16; ++i) spawn();
+  while (sim.pending() > 0) {
+    if (rng.uniform_int(0, 3) == 0) {
+      sim.run_until(sim.now() + SimTime::nanos(rng.uniform_int(0, 2)));
+      // Between drives the clock may sit past the last fired key; new
+      // top-level schedules then start a fresh instant.
+      if (sim.now() > running.time)
+        running = LaneKey{sim.now(), SimTime::zero(), 0, 0};
+      for (int i = 0; i < 2; ++i) spawn();
+    } else {
+      EXPECT_TRUE(sim.step());
+    }
+  }
+  sim.validate_integrity();
+  std::vector<LaneKey> reference;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    if (!cancelled[i]) reference.push_back(keys[i]);
+  std::sort(reference.begin(), reference.end());
+  return {fired, reference};
+}
+
+TEST(SimulatorLaneTest, SeededMixFiresInReferenceKeyOrder) {
+  // The engine's own monotone-order check runs on every fired event.
+  ValidationScope validation{true};
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const auto [fired, reference] = run_lane_mix(seed);
+    ASSERT_GT(fired.size(), 100u) << "seed " << seed;
+    ASSERT_EQ(fired.size(), reference.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < fired.size(); ++i)
+      ASSERT_TRUE(fired[i] == reference[i])
+          << "seed " << seed << ": event " << i << " fired seq "
+          << fired[i].seq << ", reference seq " << reference[i].seq;
+  }
+}
+
+TEST(SimulatorLaneTest, SameInstantEventsInterleaveWithHeapByKey) {
+  // A ranked heap event at the current instant must fire between lane
+  // entries exactly where its key sorts.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(SimTime::millis(1), [&] {
+    sim.schedule_after(SimTime::zero(), [&] { order.push_back(1); });
+    sim.set_current_rank(5);
+    sim.schedule_after(SimTime::zero(), [&] { order.push_back(3); });
+    // Rank 2 sorts before the lane tail (rank 5): it goes to the heap and
+    // still fires second.
+    sim.schedule_at_ranked(sim.now(), sim.now(), 2,
+                           [&] { order.push_back(2); });
+    // An older stamp sorts before every lane entry.
+    sim.schedule_at_stamped(sim.now(), SimTime::zero(),
+                            [&] { order.push_back(0); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorLaneTest, CancelledLaneEntryNeverFires) {
+  Simulator sim;
+  std::vector<int> fired;
+  // now() == 0, so these three land in the same-instant lane.
+  sim.schedule_at(SimTime::zero(), [&] { fired.push_back(0); });
+  const EventHandle doomed =
+      sim.schedule_at(SimTime::zero(), [&] { fired.push_back(1); });
+  sim.schedule_after(SimTime::zero(), [&] { fired.push_back(2); });
+  EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_FALSE(sim.cancel(doomed));
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.queue_size(), 3u);  // the stale entry waits in the lane
+  sim.validate_integrity();
+  EXPECT_EQ(sim.next_live_time(), SimTime::zero());
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sim.queue_size(), 0u);
+  sim.validate_integrity();
+}
+
+TEST(SimulatorLaneTest, LaneCompactionKeepsOrder) {
+  // Cancelling most of a large lane triggers compaction, which must keep
+  // the survivors in FIFO order.
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 400; ++i)
+    handles.push_back(
+        sim.schedule_at(SimTime::zero(), [&fired, i] { fired.push_back(i); }));
+  for (int i = 0; i < 400; ++i)
+    if (i % 5 != 0) {
+      EXPECT_TRUE(sim.cancel(handles[static_cast<std::size_t>(i)]));
+    }
+  EXPECT_LT(sim.queue_size(), 400u);  // compacted at least once
+  sim.validate_integrity();
+  sim.run();
+  ASSERT_EQ(fired.size(), 80u);
+  for (std::size_t k = 0; k < fired.size(); ++k)
+    EXPECT_EQ(fired[k], static_cast<int>(5 * k));
+}
+
+TEST(SimulatorLaneTest, RewindAndWindowsSeeLaneEntries) {
+  Simulator sim;
+  bool ran = false;
+  sim.schedule_at(SimTime::zero(), [&] { ran = true; });
+  // run_before(0) owns no instant, so the lane entry stays pending.
+  sim.run_before(SimTime::zero());
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.next_live_time(), SimTime::zero());
+  sim.run_before(SimTime::nanos(1));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), SimTime::nanos(1));
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.rewind_clock(SimTime::zero());
+  EXPECT_EQ(sim.now(), SimTime::zero());
 }
 
 }  // namespace

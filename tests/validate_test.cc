@@ -32,6 +32,9 @@ struct SimulatorTestAccess {
   static std::vector<Simulator::QueueEntry>& queue(Simulator& sim) {
     return sim.queue_;
   }
+  static std::vector<Simulator::QueueEntry>& lane(Simulator& sim) {
+    return sim.lane_;
+  }
   static std::vector<Simulator::Slot>& slots(Simulator& sim) {
     return sim.slots_;
   }
@@ -214,6 +217,42 @@ TEST(SimulatorValidateTest, NonMonotoneTraceIsCaught) {
   ValidationScope validation{true};
   EXPECT_TRUE(sim.step());
   EXPECT_THROW(static_cast<void>(sim.step()), CheckFailure);
+}
+
+TEST(SimulatorValidateTest, OutOfOrderLaneIsCaught) {
+  Simulator sim;
+  // now() == 0: all three go to the same-instant lane, in seq order.
+  for (int i = 0; i < 3; ++i) sim.schedule_at(SimTime::zero(), [] {});
+  auto& lane = SimulatorTestAccess::lane(sim);
+  ASSERT_EQ(lane.size(), 3u);
+  EXPECT_TRUE(SimulatorTestAccess::queue(sim).empty());
+  sim.validate_integrity();
+  std::swap(lane.front(), lane.back());  // seq now runs backwards
+  EXPECT_THROW(sim.validate_integrity(), CheckFailure);
+  // The fire-order check catches the same damage when validation is on.
+  ValidationScope validation{true};
+  EXPECT_TRUE(sim.step());
+  EXPECT_THROW(static_cast<void>(sim.step()), CheckFailure);
+}
+
+TEST(SimulatorValidateTest, LaneGenerationDriftIsCaught) {
+  Simulator sim;
+  sim.schedule_at(SimTime::zero(), [] {});
+  // The lane entry goes stale behind the engine's back.
+  ++SimulatorTestAccess::slots(sim)[SimulatorTestAccess::lane(sim)
+                                        .front()
+                                        .slot]
+        .gen;
+  EXPECT_THROW(sim.validate_integrity(), CheckFailure);
+}
+
+TEST(SimulatorValidateTest, LaneStaleLedgerUnderflowIsCaught) {
+  Simulator sim;
+  const EventHandle doomed = sim.schedule_at(SimTime::zero(), [] {});
+  sim.schedule_at(SimTime::zero(), [] {});
+  ASSERT_TRUE(sim.cancel(doomed));
+  SimulatorTestAccess::stale(sim) = 0;  // the corruption under test
+  EXPECT_THROW(sim.run(), CheckFailure);
 }
 
 // ---------------------------------------------------- runtime validators
